@@ -7,7 +7,8 @@
 //! that allocates fresh buffers per column, and scatters the result back —
 //! a cache-hostile access pattern repeated thousands of times per block.
 //!
-//! [`BatchDeconvolver`] instead processes *panels* of `P` adjacent columns:
+//! [`BatchDeconvolver`] instead processes *panels* of `P` adjacent columns
+//! through the shared [`ims_signal::panel::PanelWalker`]:
 //!
 //! * a panel is gathered with `drift_bins` contiguous `memcpy`s (row
 //!   `d` of the panel is the slice `data[d·mz + c0 .. d·mz + c0 + P]`, no
@@ -20,11 +21,10 @@
 //!   ([`ims_prs::weighting::CirculantSolver`]), and all working memory
 //!   lives in reusable scratch arenas — zero allocations in steady state;
 //! * panels are embarrassingly parallel, so
-//!   [`BatchDeconvolver::deconvolve_map_parallel`] packs them into
-//!   slab-sized jobs — granularity chosen from a measured per-panel cost
-//!   model — and runs them on the process-wide work-stealing
-//!   [`Scheduler`], the same pool that executes serve-mode session
-//!   graphs.
+//!   [`BatchDeconvolver::deconvolve_map_parallel`] hands the block to the
+//!   shared slab fan-out ([`crate::parallel`]) on the process-wide
+//!   work-stealing [`Scheduler`](crate::pipeline::Scheduler), the same
+//!   pool that executes serve-mode session graphs.
 //!
 //! Per column, every kernel performs the exact floating-point operations of
 //! the scalar path in the same order, so the batched result is
@@ -33,19 +33,14 @@
 
 use crate::acquisition::{AcquiredData, GateSchedule};
 use crate::deconvolution::{scale_lambda, Deconvolver};
-use crate::pipeline::Scheduler;
+use crate::parallel::{fan_out, PanelCost, Workers};
 use ims_physics::DriftTofMap;
 use ims_prs::permutation::TransformScratch;
 use ims_prs::weighting::{CirculantInverse, CirculantScratch, CirculantSolver};
 use ims_prs::FastMTransform;
+use ims_signal::panel::{rows_mut, Columns, PanelWalker};
 
-/// Default panel width, tuned so the working set of the widest kernel (the
-/// Bluestein-padded complex panel of a weighted solve: `2·N` rows × `P`
-/// columns × 16 bytes ≈ 512 KiB at `N = 511`) stays inside a typical L2
-/// cache while still giving the row sweeps full SIMD width. Re-exported
-/// from `ims_signal` so the FPGA block datapath shares the same constant;
-/// per-method tuning on top of this baseline lives in
-/// [`default_panel_width`].
+/// Panel width of every float method (see [`ims_signal::DEFAULT_PANEL_WIDTH`]).
 pub use ims_signal::DEFAULT_PANEL_WIDTH;
 
 /// The per-panel kernel a [`BatchDeconvolver`] applies.
@@ -68,6 +63,18 @@ impl PanelKernel {
             PanelKernel::Circulant(_) => "circulant",
         }
     }
+
+    /// Slab-sizing prior before the panel histogram warms up, measured on
+    /// the reference block (511 × 1000, panel width 32).
+    fn prior_ns_per_cell(&self) -> f64 {
+        match self {
+            PanelKernel::Identity => 0.0,
+            // FWHT butterflies plus the permutation scatter.
+            PanelKernel::Simplex(_) => 6.0,
+            // Four Bluestein pow-2 FFTs over 2N-padded rows.
+            PanelKernel::Circulant(_) => 40.0,
+        }
+    }
 }
 
 /// Reusable per-worker scratch for the batch engine. One instance per
@@ -75,8 +82,7 @@ impl PanelKernel {
 /// reused without further allocation.
 #[derive(Debug, Clone, Default)]
 pub struct PanelScratch {
-    /// The gathered `drift_bins × width` panel (row-major).
-    panel: Vec<f64>,
+    walker: PanelWalker<f64, f64>,
     transform: TransformScratch,
     circulant: CirculantScratch,
 }
@@ -144,7 +150,7 @@ impl BatchDeconvolver {
         Self {
             panel_hist: panel_histogram(&kernel),
             kernel,
-            panel_width: default_panel_width(method),
+            panel_width: DEFAULT_PANEL_WIDTH,
         }
     }
 
@@ -226,165 +232,76 @@ impl BatchDeconvolver {
     /// # Panics
     /// Panics if the map's drift-bin count differs from the kernel length.
     pub fn deconvolve_map(&self, map: &DriftTofMap) -> DriftTofMap {
-        let mut out = map.clone();
-        let mut scratch = PanelScratch::default();
-        self.deconvolve_in_place(&mut out, &mut scratch);
-        out
+        self.deconvolve_map_with(map, Workers::Threads(1))
     }
 
-    /// In-place, allocation-free (given a warmed `scratch`) form of
-    /// [`BatchDeconvolver::deconvolve_map`].
+    /// In-place, allocation-free (given a warmed `scratch`, apart from a
+    /// per-call row index) form of [`BatchDeconvolver::deconvolve_map`].
     pub fn deconvolve_in_place(&self, map: &mut DriftTofMap, scratch: &mut PanelScratch) {
-        let drift = map.drift_bins();
-        let mz = map.mz_bins();
+        let (drift, mz) = (map.drift_bins(), map.mz_bins());
         self.check_shape(drift);
         if matches!(self.kernel, PanelKernel::Identity) {
             return;
         }
-        let data = map.data_mut();
+        self.walk_in_place(&mut rows_mut(map.data_mut(), mz), mz, scratch);
+    }
+
+    /// Deconvolves the `mz` columns of the drift-major `rows` in place.
+    fn walk_in_place(&self, rows: &mut [&mut [f64]], mz: usize, scratch: &mut PanelScratch) {
         let PanelScratch {
-            panel,
+            walker,
             transform,
             circulant,
         } = scratch;
-        let mut c0 = 0;
-        while c0 < mz {
-            let width = self.panel_width.min(mz - c0);
-            gather_panel(data, mz, drift, c0, width, panel);
-            self.solve_panel(panel, width, transform, circulant);
-            scatter_panel(panel, data, mz, drift, c0, width);
-            c0 += width;
-        }
+        walker.walk_in_place(
+            rows,
+            Columns::Range(0..mz),
+            self.panel_width,
+            |panel, _, width| {
+                self.solve_panel(panel, width, transform, circulant);
+                panel
+            },
+        );
     }
 
     /// Like [`BatchDeconvolver::deconvolve_map`], but distributes panels
-    /// over the process-wide work-stealing [`Scheduler`] — the same pool
-    /// that runs serve-mode session graphs, so batch deconvolution and
-    /// serving share one set of workers instead of fighting over cores.
+    /// over the process-wide work-stealing scheduler — the same pool that
+    /// runs serve-mode session graphs, so batch deconvolution and serving
+    /// share one set of workers instead of fighting over cores.
     ///
     /// # Panics
     /// Panics if the map's drift-bin count differs from the kernel length.
     pub fn deconvolve_map_parallel(&self, map: &DriftTofMap) -> DriftTofMap {
-        self.deconvolve_map_scheduled(map, Scheduler::global())
+        self.deconvolve_map_with(map, Workers::Threads(0))
     }
 
-    /// [`BatchDeconvolver::deconvolve_map_parallel`] on an explicit pool.
-    ///
-    /// The effective parallelism is `sched` workers plus the calling
-    /// thread (which participates in draining the batch), clamped to the
-    /// machine's [`std::thread::available_parallelism`] — asking for more
-    /// threads than cores only adds scheduling noise, never throughput,
-    /// and the clamp is what keeps measured throughput monotone in the
-    /// requested thread count. At one effective thread this delegates to
-    /// the in-place serial path: same panel decomposition, same bits,
-    /// none of the fan-out costs (zeroed output block, per-task slabs,
-    /// result collection).
+    /// Deconvolves a map on the given [`Workers`] through the shared slab
+    /// fan-out. Every choice of workers computes the same bits.
     ///
     /// # Panics
     /// Panics if the map's drift-bin count differs from the kernel length.
-    pub fn deconvolve_map_scheduled(&self, map: &DriftTofMap, sched: &Scheduler) -> DriftTofMap {
-        let executors = (sched.threads() + 1).min(machine_threads());
-        self.deconvolve_map_executors(map, sched, executors)
-    }
-
-    /// Explicit-executor form of
-    /// [`BatchDeconvolver::deconvolve_map_scheduled`]: `executors` sets
-    /// task granularity and the serial-delegation cutoff, while actual
-    /// concurrency stays whatever the pool provides. Exposed so tests can
-    /// force the slab fan-out on single-core machines, where the public
-    /// entry points would (correctly) delegate to the serial path.
-    #[doc(hidden)]
-    pub fn deconvolve_map_executors(
-        &self,
-        map: &DriftTofMap,
-        sched: &Scheduler,
-        executors: usize,
-    ) -> DriftTofMap {
-        let drift = map.drift_bins();
-        let mz = map.mz_bins();
+    pub fn deconvolve_map_with(&self, map: &DriftTofMap, workers: Workers<'_>) -> DriftTofMap {
+        let (drift, mz) = (map.drift_bins(), map.mz_bins());
         self.check_shape(drift);
         if matches!(self.kernel, PanelKernel::Identity) {
             return map.clone();
         }
-        let panels = mz.div_ceil(self.panel_width);
-        if executors <= 1 || panels <= 1 {
-            return self.deconvolve_map(map);
-        }
-        let data = map.data();
-        // Task granularity is a contiguous *run* of panels sized by the
-        // cost model (see `panels_per_task`) — panel-per-task spends more
-        // on per-task allocation and result collection than a cheap
-        // kernel (simplex-fast) spends solving. Each task gathers its
-        // panels back to back into one slab; a panel stays contiguous
-        // inside it (row stride = its own width), so the kernels solve in
-        // place with zero per-panel allocation and the panel
-        // decomposition — hence the bit pattern — is identical to the
-        // serial path.
-        let per_task = self.panels_per_task(drift, executors, panels);
-        let tasks = panels.div_ceil(per_task);
-        let ranges: Vec<(usize, usize)> = (0..tasks)
-            .map(|t| {
-                let lo = (t * per_task * self.panel_width).min(mz);
-                let hi = ((t + 1) * per_task * self.panel_width).min(mz);
-                (lo, hi)
-            })
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let mut slabs: Vec<Vec<f64>> = vec![Vec::new(); ranges.len()];
-        // Telemetry on the cost model's output: the slab-size (panels per
-        // task) distribution shows whether `panels_per_task` is producing
-        // slabs big enough to amortize fan-out but small enough to spread.
-        let slab_hist = ims_obs::static_histogram!("deconv.slab_panels");
-        for &(lo, hi) in &ranges {
-            slab_hist.record((hi - lo).div_ceil(self.panel_width) as u64);
-        }
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-            .iter()
-            .zip(slabs.iter_mut())
-            .map(|(&(lo, hi), slab)| {
-                Box::new(move || {
-                    let mut scratch = PanelScratch::default();
-                    slab.reserve(drift * (hi - lo));
-                    let mut c0 = lo;
-                    while c0 < hi {
-                        let width = self.panel_width.min(hi - c0);
-                        let off = slab.len();
-                        for d in 0..drift {
-                            slab.extend_from_slice(&data[d * mz + c0..d * mz + c0 + width]);
-                        }
-                        self.solve_panel(
-                            &mut slab[off..],
-                            width,
-                            &mut scratch.transform,
-                            &mut scratch.circulant,
-                        );
-                        c0 += width;
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let tag = ims_obs::prof::intern_tag("-", "deconvolve", self.kernel.name());
-        sched.run_batch_tagged(jobs, tag);
-        let mut out = DriftTofMap::zeros(drift, mz);
-        let out_data = out.data_mut();
-        for (&(lo, _hi), slab) in ranges.iter().zip(slabs.iter()) {
-            let mut off = 0;
-            let mut c0 = lo;
-            while off < slab.len() {
-                let width = self.panel_width.min(mz - c0);
-                scatter_panel(
-                    &slab[off..off + drift * width],
-                    out_data,
-                    mz,
-                    drift,
-                    c0,
-                    width,
-                );
-                c0 += width;
-                off += drift * width;
-            }
-        }
-        out
+        let cost = PanelCost {
+            name: self.kernel.name(),
+            hist: self.panel_hist,
+            prior_ns_per_cell: self.kernel.prior_ns_per_cell(),
+        };
+        // Each slab is deconvolved in place in a copy of the map: gather
+        // and scatter then touch the same cache lines.
+        let data = fan_out(
+            map.data().to_vec(),
+            drift,
+            self.panel_width,
+            &cost,
+            workers,
+            |cols, rows| self.walk_in_place(rows, cols.len(), &mut PanelScratch::default()),
+        );
+        DriftTofMap::from_vec(drift, mz, data)
     }
 
     /// Deconvolves a mostly-empty map by solving only its *occupied* m/z
@@ -411,7 +328,6 @@ impl BatchDeconvolver {
         if matches!(self.kernel, PanelKernel::Identity) {
             return map.clone();
         }
-        let data = map.data();
         let occ = occupied_columns(map);
         let cols: Vec<usize> = (0..mz).filter(|&c| occ[c]).collect();
         if cols.len() as f64 >= ims_fpga::SPARSE_OCCUPANCY_THRESHOLD * mz as f64 {
@@ -435,72 +351,17 @@ impl BatchDeconvolver {
         for (d, &r) in zero_response.iter().enumerate() {
             out_data[d * mz..(d + 1) * mz].fill(r);
         }
-        // Gather occupied columns into compact panels, solve, scatter
-        // each column back to its original position.
-        let mut panel: Vec<f64> = Vec::new();
-        let mut c0 = 0;
-        while c0 < cols.len() {
-            let width = self.panel_width.min(cols.len() - c0);
-            panel.clear();
-            panel.reserve(drift * width);
-            for d in 0..drift {
-                panel.extend(cols[c0..c0 + width].iter().map(|&c| data[d * mz + c]));
-            }
-            self.solve_panel(
-                &mut panel,
-                width,
-                &mut scratch.transform,
-                &mut scratch.circulant,
-            );
-            for d in 0..drift {
-                for (i, &c) in cols[c0..c0 + width].iter().enumerate() {
-                    out_data[d * mz + c] = panel[d * width + i];
-                }
-            }
-            c0 += width;
-        }
+        scratch.walker.walk(
+            map.data(),
+            &mut rows_mut(out_data, mz),
+            Columns::List(&cols),
+            self.panel_width,
+            |panel, _, width| {
+                self.solve_panel(panel, width, &mut scratch.transform, &mut scratch.circulant);
+                panel
+            },
+        );
         out
-    }
-
-    /// Cost of one `drift × panel_width` panel in nanoseconds: the live
-    /// mean of this method's `deconv.panel_ns.<method>` histogram once it
-    /// has warmed up, else a static per-cell estimate measured on the
-    /// reference block (511 × 1000, panel width 32).
-    fn panel_cost_ns(&self, drift: usize) -> u64 {
-        /// Samples before the live histogram outranks the static model —
-        /// enough to flush one block's cold-start outliers.
-        const WARM_SAMPLES: u64 = 16;
-        let s = self.panel_hist.summary();
-        if s.count >= WARM_SAMPLES {
-            return s.mean as u64;
-        }
-        let per_cell_ns = match &self.kernel {
-            PanelKernel::Identity => 0.0,
-            // ~6 ns/cell: FWHT butterflies plus the permutation scatter.
-            PanelKernel::Simplex(_) => 6.0,
-            // ~40 ns/cell: four Bluestein pow-2 FFTs over 2N-padded rows.
-            PanelKernel::Circulant(_) => 40.0,
-        };
-        (per_cell_ns * (drift * self.panel_width) as f64) as u64
-    }
-
-    /// Panels per task for the parallel path. Tasks target roughly
-    /// [`TARGET_TASK_NS`] of kernel work — long enough that queue traffic
-    /// and slab allocation vanish in the noise, short enough that a block
-    /// still splits into several tasks per worker for load balance — and
-    /// never fall below a couple of panels, nor leave executors idle when
-    /// there are panels to go around.
-    fn panels_per_task(&self, drift: usize, executors: usize, panels: usize) -> usize {
-        /// Target per-task kernel time: ~2 ms is ≥10³ × the per-task
-        /// overhead (one slab allocation + one queue round-trip).
-        const TARGET_TASK_NS: u64 = 2_000_000;
-        /// Floor: a task is never a lone panel unless the block has one.
-        const MIN_PANELS_PER_TASK: usize = 2;
-        let cost = self.panel_cost_ns(drift).max(1);
-        let by_cost = usize::try_from(TARGET_TASK_NS / cost)
-            .unwrap_or(usize::MAX)
-            .max(MIN_PANELS_PER_TASK);
-        by_cost.min(panels.div_ceil(executors)).max(1)
     }
 }
 
@@ -518,61 +379,6 @@ pub fn occupied_columns(map: &DriftTofMap) -> Vec<bool> {
         }
     }
     occ
-}
-
-/// The machine's thread budget (`available_parallelism`, 1 if unknown).
-fn machine_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-}
-
-/// The measured-best panel width for a deconvolution method. Every float
-/// method currently lands on [`DEFAULT_PANEL_WIDTH`]: the widest working
-/// set (the weighted solve's Bluestein-padded complex panel) fits L2 at 32
-/// columns and degrades beyond it, while the cheaper float kernels gain
-/// nothing from going wider. The integer fixed-point path (the FPGA
-/// software model, not a [`Deconvolver`] variant) tunes separately to
-/// [`ims_signal::FIXED_POINT_PANEL_WIDTH`].
-pub fn default_panel_width(method: &Deconvolver) -> usize {
-    match method {
-        Deconvolver::Identity
-        | Deconvolver::SimplexFast
-        | Deconvolver::Exact
-        | Deconvolver::Weighted { .. }
-        | Deconvolver::WeightedIdeal { .. } => DEFAULT_PANEL_WIDTH,
-    }
-}
-
-/// Copies columns `[c0, c0 + width)` of a drift-major block into a
-/// contiguous `drift × width` panel (reusing the destination's capacity).
-fn gather_panel(
-    data: &[f64],
-    mz: usize,
-    drift: usize,
-    c0: usize,
-    width: usize,
-    panel: &mut Vec<f64>,
-) {
-    panel.clear();
-    panel.reserve(drift * width);
-    for d in 0..drift {
-        panel.extend_from_slice(&data[d * mz + c0..d * mz + c0 + width]);
-    }
-}
-
-/// Writes a solved panel back into columns `[c0, c0 + width)` of the block.
-fn scatter_panel(
-    panel: &[f64],
-    data: &mut [f64],
-    mz: usize,
-    drift: usize,
-    c0: usize,
-    width: usize,
-) {
-    for d in 0..drift {
-        data[d * mz + c0..d * mz + c0 + width].copy_from_slice(&panel[d * width..(d + 1) * width]);
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
 //! The concrete stages of the hybrid datapath.
 
 use super::error::{CorruptPolicy, SupervisorConfig};
-use super::sched::Scheduler;
 use super::{Block, DeconvolvedBlock, Message, ObsTap, PipelineReport, Stage};
 use crate::capture::CaptureLog;
 use crate::fault::FaultInjector;
 use crate::hybrid::FrameGenerator;
+use crate::parallel::{fan_out, PanelCost, Workers};
 use ims_fpga::deconv::{DeconvConfig, DeconvCore};
 use ims_fpga::deconv_naive::{NaiveConfig, NaiveMacCore};
 use ims_fpga::dma::{DmaLink, FramePacket};
 use ims_fpga::{AccumulatorCore, MzBinner, ShardedAccumulator};
 use ims_prs::MSequence;
+use ims_signal::panel::{Columns, PanelWalker};
 use ims_signal::FIXED_POINT_PANEL_WIDTH;
 use std::sync::Arc;
 
@@ -661,8 +662,6 @@ impl DeconvBackend {
 pub struct DeconvolveStage {
     backend: DeconvBackend,
     mz_bins: usize,
-    /// Column-panel width the software backend batches over.
-    panel_width: usize,
     /// Data cells (drift × m/z) deconvolved so far.
     cells: u64,
     /// Model cycles tallied for the software backend (whose panel kernel
@@ -691,7 +690,6 @@ impl DeconvolveStage {
         Self {
             backend,
             mz_bins,
-            panel_width: FIXED_POINT_PANEL_WIDTH,
             cells: 0,
             software_cycles: 0,
             injector: None,
@@ -702,14 +700,6 @@ impl DeconvolveStage {
             fallen_back: false,
             fallbacks: 0,
         }
-    }
-
-    /// Sets the column-panel width the software backend batches over
-    /// (clamped to at least 1). Panel width changes scheduling only, never
-    /// values, so any width yields bit-identical output.
-    pub fn with_panel_width(mut self, width: usize) -> Self {
-        self.panel_width = width.max(1);
-        self
     }
 
     /// Attaches a software panel engine as the degradation target for
@@ -781,7 +771,7 @@ impl Stage for DeconvolveStage {
                         .as_ref()
                         .expect("route_to_fallback requires a fallback core");
                     self.software_cycles += core.cycles_per_block(self.mz_bins);
-                    software_deconvolve_block(core, &b.data, self.mz_bins, 0, self.panel_width)
+                    software_deconvolve_block(core, &b.data, self.mz_bins, 0)
                 } else if let (Some(sparse), Some(core)) = (&b.sparse, self.backend.fwht_core_mut())
                 {
                     // Zero-skipping path: solve only the occupied columns
@@ -798,13 +788,7 @@ impl Stage for DeconvolveStage {
                             // the software path, so E3-style comparisons can
                             // read both wall time and modelled cycles.
                             self.software_cycles += core.cycles_per_block(self.mz_bins);
-                            software_deconvolve_block(
-                                core,
-                                &b.data,
-                                self.mz_bins,
-                                *threads,
-                                self.panel_width,
-                            )
+                            software_deconvolve_block(core, &b.data, self.mz_bins, *threads)
                         }
                     }
                 };
@@ -848,128 +832,49 @@ impl Stage for DeconvolveStage {
     }
 }
 
-/// The CPU software deconvolution of one block: slabs of adjacent m/z
-/// column panels are embarrassingly parallel, each task running the same
-/// fixed-point kernel row-vectorized across its panels (integer
-/// arithmetic, so the result is bit-identical to the FPGA path and to any
-/// other panel width or thread count). `threads == 0` shares the
-/// process-wide [`Scheduler`] pool with the serving sessions; a positive
-/// count spins up a private pool of `threads − 1` workers, the caller
-/// being the final executor. Either way the effective width is clamped to
-/// the machine's available parallelism, and one effective thread runs the
-/// panels serially with no fan-out cost.
+/// The CPU software deconvolution of one block: the fixed-point panel
+/// kernel run through the shared slab fan-out at
+/// [`FIXED_POINT_PANEL_WIDTH`] on [`Workers::Threads`]`(threads)`, so
+/// `threads == 0` shares the process-wide [`Scheduler`](super::Scheduler)
+/// pool with the serving sessions. Integer arithmetic makes the result
+/// bit-identical to the FPGA path at every thread count.
 pub fn software_deconvolve_block(
     core: &DeconvCore,
     data: &[u64],
     mz_bins: usize,
     threads: usize,
-    panel_width: usize,
 ) -> Vec<i64> {
     let n = core.len();
     assert_eq!(data.len(), n * mz_bins, "block shape mismatch");
-    let panel_width = panel_width.max(1);
-    let machine = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
-    let mut out = vec![0i64; n * mz_bins];
-    let solve_range =
-        |lo: usize, hi: usize, panel: &mut Vec<u64>, work: &mut Vec<i64>, solved: &mut Vec<i64>| {
-            let mut c0 = lo;
-            while c0 < hi {
-                let _sp = ims_obs::span_cat("software-fwht", "panel");
-                let start = std::time::Instant::now();
-                let width = panel_width.min(hi - c0);
-                panel.clear();
-                panel.reserve(n * width);
-                for d in 0..n {
-                    panel.extend_from_slice(&data[d * mz_bins + c0..d * mz_bins + c0 + width]);
-                }
-                let off = solved.len();
-                solved.resize(off + n * width, 0);
-                core.deconvolve_panel_into(panel, width, &mut solved[off..], work);
-                ims_obs::static_histogram!("deconv.panel_ns.software-fwht")
-                    .record_duration(start.elapsed());
-                c0 += width;
-            }
-        };
-    let scatter = |out: &mut [i64], lo: usize, slab: &[i64]| {
-        let mut off = 0;
-        let mut c0 = lo;
-        while off < slab.len() {
-            let width = panel_width.min(mz_bins - c0);
-            for d in 0..n {
-                out[d * mz_bins + c0..d * mz_bins + c0 + width]
-                    .copy_from_slice(&slab[off + d * width..off + (d + 1) * width]);
-            }
-            c0 += width;
-            off += n * width;
-        }
-    };
-    let effective = if threads == 0 {
-        Scheduler::global().threads() + 1
-    } else {
-        threads
-    }
-    .min(machine);
-    let panels = mz_bins.div_ceil(panel_width);
-    if effective <= 1 || panels <= 1 {
-        let (mut panel, mut work, mut solved) = (Vec::new(), Vec::new(), Vec::new());
-        solve_range(0, mz_bins, &mut panel, &mut work, &mut solved);
-        scatter(&mut out, 0, &solved);
-        return out;
-    }
-    // Slab granularity from the live cost histogram (same target as the
-    // float engine: ~2 ms of kernel work per task), falling back to the
-    // measured ~17 ns/cell of the fixed-point kernel before warm-up.
     let hist = ims_obs::static_histogram!("deconv.panel_ns.software-fwht");
-    let summary = hist.summary();
-    let panel_cost = if summary.count >= 16 {
-        (summary.mean as u64).max(1)
-    } else {
-        (17 * n as u64 * panel_width as u64).max(1)
+    let cost = PanelCost {
+        name: "software-fwht",
+        hist,
+        // Measured for the fixed-point kernel before the histogram warms.
+        prior_ns_per_cell: 17.0,
     };
-    let per_task = usize::try_from(2_000_000 / panel_cost)
-        .unwrap_or(usize::MAX)
-        .max(2)
-        .min(panels.div_ceil(effective))
-        .max(1);
-    let ranges: Vec<(usize, usize)> = (0..panels.div_ceil(per_task))
-        .map(|t| {
-            let lo = (t * per_task * panel_width).min(mz_bins);
-            let hi = ((t + 1) * per_task * panel_width).min(mz_bins);
-            (lo, hi)
-        })
-        .filter(|(lo, hi)| lo < hi)
-        .collect();
-    let mut slabs: Vec<Vec<i64>> = vec![Vec::new(); ranges.len()];
-    let slab_hist = ims_obs::static_histogram!("deconv.slab_panels");
-    for &(lo, hi) in &ranges {
-        slab_hist.record((hi - lo).div_ceil(panel_width) as u64);
-    }
-    let solve = &solve_range;
-    let run = |sched: &Scheduler, slabs: &mut Vec<Vec<i64>>| {
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-            .iter()
-            .zip(slabs.iter_mut())
-            .map(|(&(lo, hi), slab)| {
-                Box::new(move || {
-                    let (mut panel, mut work) = (Vec::new(), Vec::new());
-                    solve(lo, hi, &mut panel, &mut work, slab);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let tag = ims_obs::prof::intern_tag("-", "deconvolve", "software-fwht");
-        sched.run_batch_tagged(jobs, tag);
-    };
-    if threads == 0 {
-        run(Scheduler::global(), &mut slabs);
-    } else {
-        let pool = Scheduler::new(effective - 1);
-        run(&pool, &mut slabs);
-        pool.shutdown();
-    }
-    for (&(lo, _hi), slab) in ranges.iter().zip(slabs.iter()) {
-        scatter(&mut out, lo, slab);
-    }
-    out
+    fan_out(
+        vec![0i64; data.len()],
+        n,
+        FIXED_POINT_PANEL_WIDTH,
+        &cost,
+        Workers::Threads(threads),
+        |cols, rows| {
+            let mut work = Vec::new();
+            PanelWalker::default().walk(
+                data,
+                rows,
+                Columns::Range(cols),
+                FIXED_POINT_PANEL_WIDTH,
+                |panel, solved, width| {
+                    let _sp = ims_obs::span_cat("software-fwht", "panel");
+                    let start = std::time::Instant::now();
+                    solved.resize(panel.len(), 0);
+                    core.deconvolve_panel_into(panel, width, solved, &mut work);
+                    hist.record_duration(start.elapsed());
+                    solved
+                },
+            );
+        },
+    )
 }

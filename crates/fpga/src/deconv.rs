@@ -10,6 +10,8 @@
 
 use crate::bram::{BramBudget, MemoryRequirement};
 use ims_prs::{FastMTransform, MSequence};
+use ims_signal::panel::{rows_mut, Columns, PanelWalker};
+use ims_signal::FIXED_POINT_PANEL_WIDTH;
 use serde::{Deserialize, Serialize};
 
 /// Which forward model the data came from.
@@ -223,37 +225,38 @@ impl DeconvCore {
         }
     }
 
+    /// The scalar-column schedule of a whole drift-major block: each
+    /// column walked on its own through [`DeconvCore::deconvolve_column`]
+    /// (fresh buffers per column). Bit-identical to
+    /// [`DeconvCore::deconvolve_block`], tallies no cycles, and is the
+    /// baseline the panel datapath is measured against.
+    pub fn deconvolve_columnwise(&self, data: &[u64], mz_bins: usize) -> Vec<i64> {
+        assert_eq!(data.len(), self.len() * mz_bins, "block shape mismatch");
+        let mut out = vec![0i64; data.len()];
+        PanelWalker::default().walk(
+            data,
+            &mut rows_mut(&mut out, mz_bins),
+            Columns::Range(0..mz_bins),
+            1,
+            |column, solved, _| {
+                *solved = self.deconvolve_column(column);
+                solved
+            },
+        );
+        out
+    }
+
     /// Deconvolves a whole drift-major block (`mz_bins` columns), tallying
     /// cycles, and returns the drift-major fixed-point result. Columns are
-    /// processed in panels via [`DeconvCore::deconvolve_panel_into`] — the
-    /// modelled cycle count is unchanged (the FPGA's parallelism model is
-    /// `parallel_columns`, not the software panel width).
+    /// processed in panels of [`FIXED_POINT_PANEL_WIDTH`] via
+    /// [`DeconvCore::deconvolve_panel_into`] — the modelled cycle count is
+    /// unchanged (the FPGA's parallelism model is `parallel_columns`, not
+    /// the software panel width).
     pub fn deconvolve_block(&mut self, data: &[u64], mz_bins: usize) -> Vec<i64> {
-        // Shared with the software engine so a re-tuned width propagates
-        // to both datapaths.
-        const PANEL_WIDTH: usize = ims_signal::DEFAULT_PANEL_WIDTH;
         let n = self.len();
         assert_eq!(data.len(), n * mz_bins, "block shape mismatch");
         let mut out = vec![0i64; n * mz_bins];
-        let mut panel: Vec<u64> = Vec::new();
-        let mut solved: Vec<i64> = Vec::new();
-        let mut work: Vec<i64> = Vec::new();
-        let mut c0 = 0;
-        while c0 < mz_bins {
-            let width = PANEL_WIDTH.min(mz_bins - c0);
-            panel.clear();
-            panel.reserve(n * width);
-            for d in 0..n {
-                panel.extend_from_slice(&data[d * mz_bins + c0..d * mz_bins + c0 + width]);
-            }
-            solved.resize(n * width, 0);
-            self.deconvolve_panel_into(&panel, width, &mut solved, &mut work);
-            for d in 0..n {
-                out[d * mz_bins + c0..d * mz_bins + c0 + width]
-                    .copy_from_slice(&solved[d * width..(d + 1) * width]);
-            }
-            c0 += width;
-        }
+        self.solve_columns(data, &mut out, Columns::Range(0..mz_bins));
         self.cycles += self.cycles_per_block(mz_bins);
         out
     }
@@ -273,12 +276,11 @@ impl DeconvCore {
     /// speedup comes from. Skipped columns are tallied in the
     /// `deconv.sparse_columns_skipped` counter.
     pub fn deconvolve_block_sparse(&mut self, block: &crate::sparse::SparseBlock) -> Vec<i64> {
-        const PANEL_WIDTH: usize = ims_signal::DEFAULT_PANEL_WIDTH;
         let n = self.len();
         assert_eq!(block.drift_bins(), n, "block drift bins mismatch");
         let mz_bins = block.mz_bins();
-        let (compact, cols) = block.compact_occupied();
-        let k = cols.len();
+        let occupied = block.occupied_columns();
+        let cols: Vec<usize> = (0..mz_bins).filter(|&c| occupied[c]).collect();
         // The response every empty column shares: deconvolve one zero
         // column through the ordinary datapath.
         let zero_response = self.deconvolve_column(&vec![0u64; n]);
@@ -286,33 +288,31 @@ impl DeconvCore {
         for d in 0..n {
             out[d * mz_bins..(d + 1) * mz_bins].fill(zero_response[d]);
         }
-        // Solve the compact occupied-column block panel-wise and scatter
-        // each result column to its original m/z position.
-        let mut panel: Vec<u64> = Vec::new();
-        let mut solved: Vec<i64> = Vec::new();
-        let mut work: Vec<i64> = Vec::new();
-        let mut c0 = 0;
-        while c0 < k {
-            let width = PANEL_WIDTH.min(k - c0);
-            panel.clear();
-            panel.reserve(n * width);
-            for d in 0..n {
-                panel.extend_from_slice(&compact[d * k + c0..d * k + c0 + width]);
-            }
-            solved.resize(n * width, 0);
-            self.deconvolve_panel_into(&panel, width, &mut solved, &mut work);
-            for d in 0..n {
-                for (i, &c) in cols[c0..c0 + width].iter().enumerate() {
-                    out[d * mz_bins + c as usize] = solved[d * width + i];
-                }
-            }
-            c0 += width;
-        }
+        self.solve_columns(&block.to_dense(), &mut out, Columns::List(&cols));
+        let k = cols.len();
         let groups = (k + 1).div_ceil(self.config.parallel_columns) as u64;
         self.cycles += groups * self.cycles_per_column();
         ims_obs::static_counter!("deconv.sparse_blocks").incr();
         ims_obs::static_counter!("deconv.sparse_columns_skipped").add((mz_bins - k) as u64);
         out
+    }
+
+    /// Runs `cols` of the drift-major block `data` through the panel
+    /// datapath into `out`.
+    fn solve_columns(&self, data: &[u64], out: &mut [i64], cols: Columns<'_>) {
+        let mut work = Vec::new();
+        let mz_bins = out.len() / self.len();
+        PanelWalker::default().walk(
+            data,
+            &mut rows_mut(out, mz_bins),
+            cols,
+            FIXED_POINT_PANEL_WIDTH,
+            |panel, solved, w| {
+                solved.resize(panel.len(), 0);
+                self.deconvolve_panel_into(panel, w, solved, &mut work);
+                solved
+            },
+        );
     }
 
     /// Converts raw fixed-point output words to `f64`.
@@ -453,6 +453,7 @@ mod tests {
             *v = ((i * 31) % 250) as u64;
         }
         let block = core.deconvolve_block(&data, mz_bins);
+        assert_eq!(core.deconvolve_columnwise(&data, mz_bins), block);
         for mz in 0..mz_bins {
             let col: Vec<u64> = (0..n).map(|d| data[d * mz_bins + mz]).collect();
             let expect = core.deconvolve_column(&col);

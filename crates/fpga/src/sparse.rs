@@ -163,37 +163,6 @@ impl SparseBlock {
         }
         occ
     }
-
-    /// Gathers the occupied columns into a dense drift-major `drift_bins
-    /// × k` matrix (`k` = occupied-column count), returning the matrix
-    /// and the original m/z index of each compacted column. The
-    /// deconvolution cores solve this compact block with the ordinary
-    /// panel kernels — each column carries its exact dense contents, so
-    /// per-column results are bit-identical to the dense path.
-    pub fn compact_occupied(&self) -> (Vec<u64>, Vec<u32>) {
-        let occ = self.occupied_columns();
-        let cols: Vec<u32> = (0..self.mz_bins as u32)
-            .filter(|&c| occ[c as usize])
-            .collect();
-        // colmap[c] = compact index of m/z column c (occupied only).
-        let mut colmap = vec![u32::MAX; self.mz_bins];
-        for (i, &c) in cols.iter().enumerate() {
-            colmap[c as usize] = i as u32;
-        }
-        let k = cols.len();
-        let mut compact = vec![0u64; self.drift_bins * k];
-        let mut v = 0;
-        for d in 0..self.drift_bins {
-            let row = &mut compact[d * k..(d + 1) * k];
-            for run in self.row_runs(d) {
-                for off in 0..run.len as usize {
-                    row[colmap[run.start as usize + off] as usize] = self.values[v];
-                    v += 1;
-                }
-            }
-        }
-        (compact, cols)
-    }
 }
 
 #[cfg(test)]
@@ -239,16 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn occupied_columns_and_compaction() {
+    fn occupied_columns_mark_every_nonzero_column() {
         let data = sample(3, 6, &[(0, 1, 5), (1, 1, 7), (2, 4, 2)]);
         let s = SparseBlock::from_dense(&data, 3, 6);
         assert_eq!(
             s.occupied_columns(),
             vec![false, true, false, false, true, false]
         );
-        let (compact, cols) = s.compact_occupied();
-        assert_eq!(cols, vec![1, 4]);
-        // Column 1 → compact column 0; column 4 → compact column 1.
-        assert_eq!(compact, vec![5, 0, 7, 0, 0, 2]);
     }
 }

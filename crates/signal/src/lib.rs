@@ -31,6 +31,7 @@ pub mod fft;
 pub mod fwht;
 pub mod matrix;
 pub mod noise;
+pub mod panel;
 pub mod peaks;
 pub mod resample;
 pub mod simd;
@@ -40,5 +41,5 @@ pub mod stats;
 
 pub use fft::Complex;
 pub use matrix::Matrix;
+pub use panel::{DEFAULT_PANEL_WIDTH, FIXED_POINT_PANEL_WIDTH};
 pub use peaks::Peak;
-pub use simd::{DEFAULT_PANEL_WIDTH, FIXED_POINT_PANEL_WIDTH};

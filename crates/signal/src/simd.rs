@@ -44,21 +44,6 @@
 use crate::fft::Complex;
 use std::sync::OnceLock;
 
-/// The default column-panel width shared by every panel-batched engine
-/// (the software [`crate::fwht::fwht_panel`]/FFT path in `htims-core` and
-/// the FPGA block datapath in `ims-fpga`). Individual methods may re-tune
-/// their width from this baseline; keeping the constant in the lowest
-/// common crate lets that tuning propagate everywhere.
-pub const DEFAULT_PANEL_WIDTH: usize = 32;
-
-/// Panel width for the fixed-point (integer FWHT) software path. The
-/// integer butterflies carry no complex padding — the working set is two
-/// `u64` rows per sweep — so wider panels keep amortizing sweep startup
-/// long after the float kernels have blown L2 (measured: 128 beats 32 by
-/// ~10% on the reference block, while the weighted float solve is ~25%
-/// *slower* at 128).
-pub const FIXED_POINT_PANEL_WIDTH: usize = 128;
-
 /// One SIMD instruction-set level the kernels can run at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {

@@ -22,6 +22,7 @@ use htims::fpga::{AccumulatorCore, DeconvCore, DmaLink, FpgaDevice, ResourceRepo
 use htims::graph::GraphSpec;
 use htims::physics::{Instrument, Workload};
 use htims::prs::{metrics, MSequence, OversampledSequence};
+use htims::signal::panel::{rows_mut, Columns, PanelWalker};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -73,6 +74,26 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// The value of a numeric flag: `Ok(None)` when it is absent, an error
+/// naming the flag and the value when it does not parse as `T`.
+fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    match flag(args, name) {
+        None => Ok(None),
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("bad {name} '{v}': not a valid number")),
+    }
+}
+
+/// [`parse_flag`], exiting 2 with its message on a bad value.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    parse_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Process-wide shutdown flag, flipped by SIGINT/SIGTERM so the long-
@@ -209,12 +230,8 @@ fn run(args: &[String]) {
 }
 
 fn sequence(args: &[String]) {
-    let degree: u32 = flag(args, "--degree")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
-    let factor: usize = flag(args, "--factor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let degree: u32 = num_flag(args, "--degree").unwrap_or(9);
+    let factor: usize = num_flag(args, "--factor").unwrap_or(1);
     let seq = MSequence::new(degree);
     println!(
         "m-sequence: degree {degree}, N = {}, polynomial {}",
@@ -249,32 +266,32 @@ fn sequence(args: &[String]) {
 /// (the flag set shared by `htims pipeline|trace|serve`, including
 /// `--seed` so traces and ledger lines are reproducible end-to-end).
 fn parse_graph(mut spec: GraphSpec, args: &[String]) -> GraphSpec {
-    if let Some(v) = flag(args, "--degree").and_then(|v| v.parse().ok()) {
+    if let Some(v) = num_flag(args, "--degree") {
         spec.degree = v;
     }
-    if let Some(v) = flag(args, "--mz").and_then(|v| v.parse().ok()) {
+    if let Some(v) = num_flag(args, "--mz") {
         spec.mz = v;
     }
-    if let Some(v) = flag(args, "--frames").and_then(|v| v.parse().ok()) {
+    if let Some(v) = num_flag(args, "--frames") {
         spec.frames = v;
     }
-    if let Some(v) = flag(args, "--blocks").and_then(|v| v.parse::<usize>().ok()) {
+    if let Some(v) = num_flag::<usize>(args, "--blocks") {
         spec.blocks = v.max(1);
     }
-    if let Some(v) = flag(args, "--depth").and_then(|v| v.parse().ok()) {
+    if let Some(v) = num_flag(args, "--depth") {
         spec.depth = v;
     }
     if let Some(v) = flag(args, "--backend") {
         spec.backend = v;
     }
-    if let Some(v) = flag(args, "--threads").and_then(|v| v.parse().ok()) {
+    if let Some(v) = num_flag(args, "--threads") {
         spec.threads = v;
     }
-    spec.coarse = flag(args, "--coarse").and_then(|v| v.parse().ok());
+    spec.coarse = num_flag(args, "--coarse");
     if let Some(v) = flag(args, "--executor") {
         spec.executor = v;
     }
-    if let Some(v) = flag(args, "--seed").and_then(|v| v.parse().ok()) {
+    if let Some(v) = num_flag(args, "--seed") {
         spec.seed = v;
     }
     if let Some(v) = flag(args, "--faults") {
@@ -299,7 +316,7 @@ fn parse_graph(mut spec: GraphSpec, args: &[String]) -> GraphSpec {
     if let Some(v) = flag(args, "--profile") {
         spec.profile_dir = (!v.is_empty()).then_some(v);
     }
-    if let Some(v) = flag(args, "--shards").and_then(|v| v.parse().ok()) {
+    if let Some(v) = num_flag(args, "--shards") {
         spec.shards = v;
     }
     if let Some(v) = flag(args, "--capture-log") {
@@ -615,20 +632,10 @@ fn serve(args: &[String]) {
             })
         })
         .unwrap_or(std::time::Duration::from_secs(10));
-    let port: u16 = flag(args, "--port")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9464);
-    let sample_ms: u64 = flag(args, "--sample-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let sessions: usize = flag(args, "--sessions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let max_sessions: usize = flag(args, "--max-sessions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(sessions)
-        .max(1);
+    let port: u16 = num_flag(args, "--port").unwrap_or(9464);
+    let sample_ms: u64 = num_flag(args, "--sample-ms").unwrap_or(200);
+    let sessions: usize = num_flag(args, "--sessions").unwrap_or(1).max(1);
+    let max_sessions: usize = num_flag(args, "--max-sessions").unwrap_or(sessions).max(1);
     let provenance = htims::obs::Provenance::collect(
         spec.resolved_threads(),
         htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
@@ -900,9 +907,7 @@ fn finish_session(
 /// the exporter is unreachable on the very first poll.
 fn top(args: &[String]) {
     let host = flag(args, "--host").unwrap_or_else(|| "127.0.0.1".into());
-    let port: u16 = flag(args, "--port")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9464);
+    let port: u16 = num_flag(args, "--port").unwrap_or(9464);
     let interval = flag(args, "--interval")
         .map(|v| {
             parse_duration(&v).unwrap_or_else(|| {
@@ -911,9 +916,7 @@ fn top(args: &[String]) {
             })
         })
         .unwrap_or(std::time::Duration::from_secs(1));
-    let iterations: u64 = flag(args, "--iterations")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let iterations: u64 = num_flag(args, "--iterations").unwrap_or(0);
     install_signal_handlers();
     let addr = format!("{host}:{port}");
 
@@ -1351,17 +1354,7 @@ fn bench_deconv(args: &[String]) {
         .map(|&v| v.round() as u64)
         .collect();
     let scalar_secs = best_secs(repeats, || {
-        let mut out = vec![0i64; n * mz_bins];
-        let mut column = vec![0u64; n];
-        for mz in 0..mz_bins {
-            for (d, c) in column.iter_mut().enumerate() {
-                *c = block[d * mz_bins + mz];
-            }
-            for (d, v) in core.deconvolve_column(&column).into_iter().enumerate() {
-                out[d * mz_bins + mz] = v;
-            }
-        }
-        std::hint::black_box(out);
+        std::hint::black_box(core.deconvolve_columnwise(&block, mz_bins));
     });
     record(
         "fixed-point",
@@ -1374,37 +1367,30 @@ fn bench_deconv(args: &[String]) {
     for &width in widths {
         let secs = best_secs(repeats, || {
             let mut out = vec![0i64; n * mz_bins];
-            let mut panel: Vec<u64> = Vec::new();
-            let mut solved: Vec<i64> = Vec::new();
-            let mut work: Vec<i64> = Vec::new();
-            let mut c0 = 0;
-            while c0 < mz_bins {
-                let w = width.min(mz_bins - c0);
-                panel.clear();
-                panel.reserve(n * w);
-                for d in 0..n {
-                    panel.extend_from_slice(&block[d * mz_bins + c0..d * mz_bins + c0 + w]);
-                }
-                solved.resize(n * w, 0);
-                core.deconvolve_panel_into(&panel, w, &mut solved, &mut work);
-                for d in 0..n {
-                    out[d * mz_bins + c0..d * mz_bins + c0 + w]
-                        .copy_from_slice(&solved[d * w..(d + 1) * w]);
-                }
-                c0 += w;
-            }
+            let mut work = Vec::new();
+            PanelWalker::default().walk(
+                &block,
+                &mut rows_mut(&mut out, mz_bins),
+                Columns::Range(0..mz_bins),
+                width,
+                |panel, solved, w| {
+                    solved.resize(panel.len(), 0);
+                    core.deconvolve_panel_into(panel, w, solved, &mut work);
+                    solved
+                },
+            );
             std::hint::black_box(out);
         });
         record("fixed-point", "batched", 1, width, secs, scalar_secs);
     }
     // Threaded rows for the integer path too: the pipeline's software
-    // backend (scheduler slabs over a private pool), bit-identical to the
-    // scalar loop above at every thread count.
+    // backend (the shared slab fan-out), bit-identical to the scalar loop
+    // above at every thread count.
     let fp_width = htims::signal::FIXED_POINT_PANEL_WIDTH;
     for &t in &threads {
         let secs = best_secs(repeats, || {
             std::hint::black_box(htims::core::pipeline::software_deconvolve_block(
-                &core, &block, mz_bins, t, fp_width,
+                &core, &block, mz_bins, t,
             ));
         });
         record(
@@ -1488,17 +1474,7 @@ fn bench_deconv(args: &[String]) {
             .map(|&v| v.round() as u64)
             .collect();
         let scalar_secs = best_secs(repeats, || {
-            let mut out = vec![0i64; n * mz_bins];
-            let mut column = vec![0u64; n];
-            for mz in 0..mz_bins {
-                for (d, c) in column.iter_mut().enumerate() {
-                    *c = sparse_block[d * mz_bins + mz];
-                }
-                for (d, v) in core.deconvolve_column(&column).into_iter().enumerate() {
-                    out[d * mz_bins + mz] = v;
-                }
-            }
-            std::hint::black_box(out);
+            std::hint::black_box(core.deconvolve_columnwise(&sparse_block, mz_bins));
         });
         record(
             "fixed-point",
@@ -1608,9 +1584,7 @@ fn bench_compare(args: &[String]) {
         eprintln!("usage: htims bench compare <baseline.json> <candidate.json> [--max-regress-pct <n>] [--out <verdict.json>]");
         std::process::exit(2);
     };
-    let max_regress_pct: f64 = flag(args, "--max-regress-pct")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
+    let max_regress_pct: f64 = num_flag(args, "--max-regress-pct").unwrap_or(10.0);
 
     let baseline = load_bench_rows(baseline_path);
     let candidate = load_bench_rows(candidate_path);
@@ -1827,12 +1801,8 @@ fn thread_sweep(quick: bool) -> Vec<usize> {
 }
 
 fn feasibility(args: &[String]) {
-    let degree: u32 = flag(args, "--degree")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
-    let mz: usize = flag(args, "--mz")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
+    let degree: u32 = num_flag(args, "--degree").unwrap_or(9);
+    let mz: usize = num_flag(args, "--mz").unwrap_or(100);
     let n = (1usize << degree) - 1;
     let seq = MSequence::new(degree);
     let acc = AccumulatorCore::new(n, mz, 32);
@@ -1866,9 +1836,30 @@ fn feasibility(args: &[String]) {
 
 #[cfg(test)]
 mod tests {
-    use super::render_top;
+    use super::{parse_flag, render_top};
     use std::collections::HashMap;
     use std::time::Duration;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_bad_seed_is_an_error_naming_the_flag_and_value() {
+        let cli = args("pipeline --seed abc --coarse 10");
+        let err = parse_flag::<u64>(&cli, "--seed").unwrap_err();
+        assert!(err.contains("--seed") && err.contains("'abc'"), "{err}");
+        assert_eq!(parse_flag::<usize>(&cli, "--coarse"), Ok(Some(10)));
+        assert_eq!(parse_flag::<u64>(&cli, "--shards"), Ok(None));
+    }
+
+    #[test]
+    fn a_bad_coarse_is_an_error_naming_the_flag_and_value() {
+        let cli = args("pipeline --seed 7 --coarse 1O");
+        let err = parse_flag::<usize>(&cli, "--coarse").unwrap_err();
+        assert!(err.contains("--coarse") && err.contains("'1O'"), "{err}");
+        assert_eq!(parse_flag::<u64>(&cli, "--seed"), Ok(Some(7)));
+    }
 
     fn series(pairs: &[(&str, f64)]) -> HashMap<String, f64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
