@@ -1,16 +1,15 @@
-//! Executors: run a stage graph on the work-stealing scheduler (threaded /
-//! scheduled) or inline (sequentially on the calling thread).
+//! Executors: run a stage graph on the work-stealing scheduler (threaded)
+//! or inline (sequentially on the calling thread).
 //!
-//! All executors drive the same [`Stage`] objects in the same order over
+//! Both executors drive the same [`Stage`] objects in the same order over
 //! the same integer datapath, so their outputs are bit-identical by
-//! construction. The concurrent executors are thin entry points into
-//! [`super::sched`]: [`Pipeline::run_threaded`] (the PR-5 name, kept as a
-//! compatibility wrapper) and [`Pipeline::run_scheduled`] both submit the
-//! graph to the shared work-stealing pool, where the source and each stage
-//! run as cooperatively scheduled tasks connected by bounded inboxes —
-//! the back-pressure structure of the real design. [`Pipeline::spawn_on`]
-//! submits without waiting, which is what the session multiplexer uses to
-//! run many graphs on one pool.
+//! construction. The concurrent executor is a thin entry point into
+//! [`super::sched`]: [`Pipeline::run_threaded`] submits the graph to the
+//! shared work-stealing pool, where the source and each stage run as
+//! cooperatively scheduled tasks connected by bounded inboxes — the
+//! back-pressure structure of the real design — and waits for it.
+//! [`Pipeline::spawn_on`] submits without waiting, which is what the
+//! session multiplexer uses to run many graphs on one pool.
 //!
 //! Every executor is instrumented with `ims_obs`: stage iterations open
 //! spans (category = stage name, or `stage@session` for labeled tenants),
@@ -21,7 +20,7 @@
 //!
 //! # Supervision
 //!
-//! The scheduled executors are *supervised*: a panicking stage no longer
+//! The threaded executor is *supervised*: a panicking stage no longer
 //! aborts the process. Each stage iteration runs under `catch_unwind`; a
 //! panicked stage turns "poisoned" — it keeps draining its input inbox
 //! (so upstream never blocks on a full queue) without processing, its
@@ -115,7 +114,7 @@ pub struct PipelineOutput {
 
 impl Pipeline {
     /// Starts a graph from a frame source; `channel_depth` bounds the
-    /// frame inboxes of the scheduled executors (back-pressure credits).
+    /// frame inboxes of the threaded executor (back-pressure credits).
     pub fn new(source: FrameSource, channel_depth: usize) -> Self {
         Self {
             source,
@@ -252,28 +251,18 @@ impl Pipeline {
     /// Runs the graph concurrently — source and stages as tasks on the
     /// shared work-stealing pool, connected by bounded inboxes of depth
     /// `channel_depth` (frames) or the stages' own depth (blocks: 2, the
-    /// double-buffered readout). Supervised: see the module docs.
-    ///
-    /// This is the PR-5 entry point; since the scheduler refactor it is a
-    /// thin wrapper over [`run_scheduled`](Self::run_scheduled) that only
-    /// keeps the `"threaded"` executor tag in reports stable for existing
-    /// consumers.
+    /// double-buffered readout), and waits for it to drain. Supervised:
+    /// see the module docs.
     pub fn run_threaded(self) -> PipelineOutput {
-        sched::spawn(self, Scheduler::global(), "threaded").join()
-    }
-
-    /// Runs the graph on the shared work-stealing pool and waits for it
-    /// to drain. Identical to [`run_threaded`](Self::run_threaded) except
-    /// for the `"scheduled"` executor tag in the report.
-    pub fn run_scheduled(self) -> PipelineOutput {
-        sched::spawn(self, Scheduler::global(), "scheduled").join()
+        self.spawn_on(Scheduler::global()).join()
     }
 
     /// Submits the graph to `sched` and returns immediately; the session
     /// multiplexer uses this to run many tenant graphs concurrently on
-    /// one pool. Join the returned handle for the [`PipelineOutput`].
+    /// one pool. Join the returned handle for the [`PipelineOutput`],
+    /// whose report is tagged `"threaded"`.
     pub fn spawn_on(self, sched: &Scheduler) -> ScheduledRun {
-        sched::spawn(self, sched, "scheduled")
+        sched::spawn(self, sched)
     }
 
     /// Runs the graph sequentially on the calling thread — the software

@@ -17,16 +17,14 @@
 //! [`DeconvBackend`] (the FWHT FPGA core, the naive MAC-array core, or the
 //! scheduler-parallel software path — all bit-exact equals).
 //!
-//! Three executors run the same graph. [`Pipeline::run_threaded`] and
-//! [`Pipeline::run_scheduled`] submit the source and stages as
-//! cooperatively scheduled tasks — connected by bounded inboxes — to the
-//! shared work-stealing pool in [`sched`] (the concurrent structure of
-//! the real design, with back-pressure; the two differ only in the
-//! executor tag their reports carry). [`Pipeline::run_inline`] runs the
-//! stages sequentially on the calling thread (the software reference).
-//! Because all of them drive the same stage objects over the same integer
-//! datapath, their outputs agree bit for bit — the property the hybrid
-//! equivalence tests pin down.
+//! Two executors run the same graph. [`Pipeline::run_threaded`] submits
+//! the source and stages as cooperatively scheduled tasks — connected by
+//! bounded inboxes — to the shared work-stealing pool in [`sched`] (the
+//! concurrent structure of the real design, with back-pressure).
+//! [`Pipeline::run_inline`] runs the stages sequentially on the calling
+//! thread (the software reference). Because both drive the same stage
+//! objects over the same integer datapath, their outputs agree bit for
+//! bit — the property the hybrid equivalence tests pin down.
 //!
 //! On top of the scheduler sits the [`SessionManager`]: N independent
 //! pipelines — each its own seed, config fingerprint, and fault spec —

@@ -249,7 +249,7 @@ impl Scheduler {
     }
 
     /// The process-wide pool (size [`default_pool_threads`]) that
-    /// `run_threaded`/`run_scheduled` and the session manager share.
+    /// `run_threaded` and the session manager share.
     pub fn global() -> &'static Scheduler {
         static GLOBAL: OnceLock<Scheduler> = OnceLock::new();
         GLOBAL.get_or_init(|| Scheduler::new(default_pool_threads()))
@@ -935,8 +935,8 @@ impl Node {
 
 /// Span category for a (possibly session-labeled) stage: interned
 /// `name@session` so per-tenant activity gets its own trace track
-/// identity; the plain stage name when unlabeled (keeping `htims trace`
-/// categories stable).
+/// identity; the plain stage name when unlabeled (keeping `htims pipeline
+/// --trace` categories stable).
 fn session_cat(name: &'static str, session: Option<&'static str>) -> &'static str {
     match session {
         Some(s) => ims_obs::intern(&format!("{name}@{s}")),
@@ -945,13 +945,9 @@ fn session_cat(name: &'static str, session: Option<&'static str>) -> &'static st
 }
 
 /// Submits a pipeline to `sched` and returns without waiting. Used by
-/// `Pipeline::{run_threaded,run_scheduled,spawn_on}` and the session
-/// manager.
-pub(super) fn spawn(
-    mut pipeline: Pipeline,
-    sched: &Scheduler,
-    executor: &'static str,
-) -> ScheduledRun {
+/// `Pipeline::spawn_on` (and through it `run_threaded` and the session
+/// manager).
+pub(super) fn spawn(mut pipeline: Pipeline, sched: &Scheduler) -> ScheduledRun {
     assert!(!pipeline.stages.is_empty(), "pipeline has no stages");
     pipeline.arm();
     let start = Instant::now();
@@ -1141,7 +1137,6 @@ pub(super) fn spawn(
         nodes,
         run,
         start,
-        executor,
         channel_depth,
         frames,
         injector,
@@ -1156,7 +1151,6 @@ pub struct ScheduledRun {
     nodes: Vec<Arc<Node>>,
     run: Arc<RunCore>,
     start: Instant,
-    executor: &'static str,
     channel_depth: usize,
     frames: u64,
     injector: Option<FaultInjector>,
@@ -1218,7 +1212,7 @@ impl ScheduledRun {
             }
         }
         let blocks = std::mem::take(&mut *lock(&self.run.sink));
-        let mut report = PipelineReport::new(self.executor);
+        let mut report = PipelineReport::new("threaded");
         report.channel_depth = self.channel_depth;
         report.errors = errors;
         finish_report(

@@ -1,7 +1,7 @@
 //! Append-only run ledger (`RUNS.jsonl`) and the shared config
 //! fingerprint.
 //!
-//! Every `htims pipeline|trace|bench|serve` invocation appends one
+//! Every `htims pipeline|serve|chaos|bench deconv` invocation appends one
 //! [`LedgerRecord`] line: provenance, a config fingerprint, wall time,
 //! per-stage p50/p99 latency, and deconvolution throughput. The
 //! fingerprint — [`config_fingerprint`] over block dims, method, engine,

@@ -20,7 +20,7 @@ use crate::trace;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
-/// Schema version of [`ObsReport`] and the `htims bench`/`htims trace`
+/// Schema version of [`ObsReport`] and the `htims bench`/`htims pipeline --trace`
 /// JSON outputs. Bump when fields change meaning.
 ///
 /// v3 added [`Provenance::simd`] and [`Provenance::sparse`]; both default

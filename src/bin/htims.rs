@@ -6,10 +6,13 @@
 //! htims sequence --degree 9 [--factor 2]   # gate-sequence properties and quality metrics
 //! htims feasibility --degree 9 --mz 100    # FPGA resource / real-time report
 //! htims pipeline --degree 6 --mz 60        # run the stage graph, emit PipelineReport JSON
-//! htims trace --out trace.json             # traced pipeline run → Chrome trace + metrics JSON
+//! htims pipeline --trace run/              # same, plus run/trace.json (Chrome) + run/metrics.json
 //! htims top --port 9464                    # live console over a running `htims serve` exporter
-//! htims bench deconv --json                # deconvolution engine micro-bench → BENCH_deconv.json
+//! htims bench deconv --out BENCH_deconv.json  # deconvolution engine micro-bench
 //! ```
+//!
+//! Every subcommand reads its argv through one [`Args`] and rejects what
+//! it did not read (exit 2) before anything runs or is written.
 
 use htims::core::acquisition::{acquire, AcquireOptions, GateSchedule};
 use htims::core::analysis::{build_library, find_features, match_library};
@@ -27,20 +30,25 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("help");
-    match command {
-        "print-config" => print_config(),
-        "run" => run(&args),
-        "sequence" => sequence(&args),
-        "feasibility" => feasibility(&args),
-        "pipeline" => pipeline(&args),
-        "trace" => trace(&args),
-        "serve" => serve(&args),
-        "top" => top(&args),
-        "chaos" => chaos(&args),
-        "bench" => bench(&args),
-        _ => help(),
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next().unwrap_or_else(|| "help".into());
+    let args = Args::new(&command, argv);
+    match command.as_str() {
+        "print-config" => print_config(args),
+        "run" => run(args),
+        "sequence" => sequence(args),
+        "feasibility" => feasibility(args),
+        "pipeline" => pipeline(args),
+        "serve" => serve(args),
+        "top" => top(args),
+        "chaos" => chaos(args),
+        "bench" => bench(args),
+        "help" | "--help" | "-h" => help(),
+        other => {
+            eprintln!("unknown subcommand '{other}'");
+            help();
+            std::process::exit(2);
+        }
     }
 }
 
@@ -50,50 +58,168 @@ fn help() {
          htims sequence --degree <n> [--factor <m>]\n  htims feasibility --degree <n> --mz <bins>\n  \
          htims pipeline [--degree <n>] [--mz <bins>] [--frames <per-block>] [--blocks <n>]\n    \
          [--depth <channel depth>] [--backend fpga|naive|software] [--threads <n>]\n    \
-         [--coarse <bins>] [--executor threaded|scheduled|inline] [--seed <n>]\n    \
+         [--coarse <bins>] [--executor threaded|inline] [--seed <n>]\n    \
          [--out <file.json>] [--faults <dma.bitflip=1e-5,frame.drop=1e-4,...>]\n    \
          [--stall-timeout <250ms>] [--sparse] [--slo <p99=5ms,completeness=0.999>]\n    \
-         [--flight-dir <dir>] [--profile <dir>]\n  \
-         htims trace [pipeline flags] [--out <trace.json>] [--metrics <metrics.json>]\n  \
-         htims serve [pipeline flags] [--duration <2s|500ms>] [--port <n>]\n    \
+         [--flight-dir <dir>] [--profile <dir>] [--shards <n>] [--capture-log <dir>]\n    \
+         [--trace <dir>]   (writes <dir>/trace.json and <dir>/metrics.json)\n  \
+         htims pipeline --replay <capture dir> [--out <file.json>]\n  \
+         htims serve [graph flags] [--duration <2s|500ms>] [--port <n>]\n    \
          [--sample-ms <n>] [--series <file.jsonl>] [--sessions <n>] [--max-sessions <n>]\n  \
          htims top [--host <addr>] [--port <n>] [--interval <1s|500ms>] [--iterations <n>]\n  \
-         htims chaos [pipeline flags] [--seeds <a,b,...>] [--matrix <spec;spec;...>]\n    \
+         htims chaos [graph flags but --faults] [--seeds <a,b,...>] [--matrix <spec;spec;...>]\n    \
          [--out <survival.json>] [--strict]\n  \
-         htims bench deconv [--quick] [--json] [--out <file.json>]\n    \
-         [--threads <a,b,...>] [--sparse]\n  \
+         htims bench deconv [--quick] [--out <file.json>] [--threads <a,b,...>] [--sparse]\n  \
          htims bench compare <baseline.json> <candidate.json> [--max-regress-pct <n>]\n    \
          [--out <verdict.json>]\n\n\
-         pipeline|trace|serve|bench append a run summary to RUNS.jsonl\n\
+         graph flags are the pipeline flags from --degree to --capture-log.\n\
+         pipeline|serve|chaos|bench deconv append a run summary to RUNS.jsonl\n\
          (override with --ledger <path>, disable with --no-ledger)"
     );
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// One subcommand's argv. Every read takes what it matched (a flag and
+/// its value, a switch, or the positionals), and a malformed value is
+/// recorded rather than fatal; [`finish`](Self::finish) then rejects the
+/// first recorded error or untaken argument. Tokens keep their argv
+/// positions, so a flag's value is always the token that followed it on
+/// the command line, whatever order the reads come in.
+struct Args {
+    command: String,
+    argv: Vec<String>,
+    taken: Vec<bool>,
+    error: Option<String>,
 }
 
-/// The value of a numeric flag: `Ok(None)` when it is absent, an error
-/// naming the flag and the value when it does not parse as `T`.
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match flag(args, name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad {name} '{v}': not a valid number")),
+impl Args {
+    fn new(command: &str, argv: impl IntoIterator<Item = String>) -> Self {
+        let argv: Vec<String> = argv.into_iter().collect();
+        Self {
+            command: command.to_string(),
+            taken: vec![false; argv.len()],
+            argv,
+            error: None,
+        }
+    }
+
+    /// Keeps the first error: later ones are often its consequences.
+    fn fail(&mut self, message: String) {
+        self.error.get_or_insert(message);
+    }
+
+    /// Takes the first untaken `name`, flagging a repeat.
+    fn take(&mut self, name: &str) -> Option<usize> {
+        let hits: Vec<usize> = (0..self.argv.len())
+            .filter(|&i| !self.taken[i] && self.argv[i] == name)
+            .collect();
+        let &first = hits.first()?;
+        if hits.len() > 1 {
+            self.fail(format!("{name} given more than once"));
+        }
+        self.taken[first] = true;
+        Some(first)
+    }
+
+    /// Whether the switch `name` is present.
+    fn switch(&mut self, name: &str) -> bool {
+        self.take(name).is_some()
+    }
+
+    /// The value of flag `name`: the next token, which must not look like
+    /// a flag itself (`--out --sparse` is a missing value).
+    fn string(&mut self, name: &str) -> Option<String> {
+        let i = self.take(name)?;
+        match self.argv.get(i + 1) {
+            Some(v) if !v.starts_with("--") => {
+                self.taken[i + 1] = true;
+                Some(v.clone())
+            }
+            next => {
+                let got = next.map(|v| format!(", got '{v}'")).unwrap_or_default();
+                self.fail(format!("{name} needs a value{got}"));
+                None
+            }
+        }
+    }
+
+    /// A flag whose value `parse` must accept; `hint` ends the error.
+    fn parsed<T>(
+        &mut self,
+        name: &str,
+        hint: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Option<T> {
+        let v = self.string(name)?;
+        let parsed = parse(&v);
+        if parsed.is_none() {
+            self.fail(format!("bad {name} '{v}': {hint}"));
+        }
+        parsed
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        self.parsed(name, "not a valid number", |v| v.parse().ok())
+    }
+
+    /// `2s`, `500ms`, or bare seconds (`1.5`).
+    fn duration(&mut self, name: &str) -> Option<std::time::Duration> {
+        self.parsed(name, "use e.g. 250ms, 2s or 1.5", |t| {
+            let t = t.trim();
+            let (number, scale) = match t.strip_suffix("ms") {
+                Some(ms) => (ms, 1e-3),
+                None => (t.strip_suffix('s').unwrap_or(t), 1.0),
+            };
+            let secs: f64 = number.trim().parse().ok()?;
+            (secs.is_finite() && secs >= 0.0)
+                .then(|| std::time::Duration::from_secs_f64(secs * scale))
+        })
+    }
+
+    /// A comma-separated list; every entry must parse as `T`.
+    fn list<T: std::str::FromStr>(&mut self, name: &str) -> Option<Vec<T>> {
+        self.parsed(name, "an entry does not parse", |v| {
+            v.split(',').map(|s| s.trim().parse().ok()).collect()
+        })
+    }
+
+    /// The arguments that are not flags. Read them after every flag, so
+    /// flag values are already taken.
+    fn positionals(&mut self) -> Vec<String> {
+        let mut out = Vec::new();
+        for (arg, taken) in self.argv.iter().zip(self.taken.iter_mut()) {
+            if !*taken && !arg.starts_with("--") {
+                *taken = true;
+                out.push(arg.clone());
+            }
+        }
+        out
+    }
+
+    /// The first recorded error, else the first argument no read took.
+    fn check(&self) -> Result<(), String> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        match self.argv.iter().zip(&self.taken).find(|(_, &taken)| !taken) {
+            Some((arg, _)) if arg.starts_with("--") => Err(format!("unknown flag '{arg}'")),
+            Some((arg, _)) => Err(format!("unexpected argument '{arg}'")),
+            None => Ok(()),
+        }
+    }
+
+    /// Exits 2 with [`check`](Self::check)'s message. Call it after the
+    /// last read and before anything runs or is written.
+    fn finish(self) {
+        if let Err(e) = self.check() {
+            die(format!("htims {}: {e} (see `htims help`)", self.command));
+        }
     }
 }
 
-/// [`parse_flag`], exiting 2 with its message on a bad value.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    parse_flag(args, name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+/// Exits 2 with `message`: the CLI's one answer to bad input.
+fn die(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 /// Process-wide shutdown flag, flipped by SIGINT/SIGTERM so the long-
@@ -156,23 +282,21 @@ fn maybe_reset_profile(spec: &GraphSpec) {
     }
 }
 
-fn print_config() {
+fn print_config(args: Args) {
+    args.finish();
     println!("{}", ExperimentConfig::default().to_json());
 }
 
-fn run(args: &[String]) {
-    let path = flag(args, "--config").unwrap_or_else(|| {
-        eprintln!("--config <file.json> is required (try `htims print-config`)");
-        std::process::exit(2);
-    });
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let config = ExperimentConfig::from_json(&json).unwrap_or_else(|e| {
-        eprintln!("invalid config: {e}");
-        std::process::exit(2);
-    });
+fn run(mut args: Args) {
+    let config_path = args.string("--config");
+    let out_path = args.string("--out");
+    args.finish();
+    let path = config_path
+        .unwrap_or_else(|| die("--config <file.json> is required (try `htims print-config`)"));
+    let json =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+    let config =
+        ExperimentConfig::from_json(&json).unwrap_or_else(|e| die(format!("invalid config: {e}")));
 
     let (instrument, workload, schedule, options) = config.build();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -215,23 +339,41 @@ fn run(args: &[String]) {
         "library_size": library.len(),
         "identifications": ids,
     });
-    match flag(args, "--out") {
-        Some(out) => {
-            std::fs::write(&out, serde_json::to_string_pretty(&report).unwrap()).unwrap_or_else(
-                |e| {
-                    eprintln!("cannot write {out}: {e}");
-                    std::process::exit(2);
-                },
-            );
-            eprintln!("report written to {out}");
+    emit_json(&report, out_path.as_deref(), "report");
+}
+
+/// Writes `text` to `path`, exiting 2 when it cannot.
+fn write_file(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+}
+
+/// Emits a report as pretty JSON: to the `--out` file when one was
+/// given (naming it on stderr as `what`), else to stdout.
+fn emit_json(report: &impl serde::Serialize, out: Option<&str>, what: &str) {
+    let mut text = serde_json::to_string_pretty(report).expect("reports serialise to JSON");
+    text.push('\n');
+    match out {
+        Some(path) => {
+            write_file(path, &text);
+            eprintln!("{what} written to {path}");
         }
-        None => println!("{}", serde_json::to_string_pretty(&report).unwrap()),
+        None => print!("{text}"),
     }
 }
 
-fn sequence(args: &[String]) {
-    let degree: u32 = num_flag(args, "--degree").unwrap_or(9);
-    let factor: usize = num_flag(args, "--factor").unwrap_or(1);
+/// Host provenance for reports and ledger lines: the panel width every
+/// float engine defaults to, plus the run's SIMD backend and its
+/// sparse/dense label (empty = not stamped).
+fn provenance(threads: usize, simd: &str, sparse: &str) -> htims::obs::Provenance {
+    htims::obs::Provenance::collect(threads, htims::core::deconv_batch::DEFAULT_PANEL_WIDTH)
+        .with_simd(simd)
+        .with_sparse(sparse)
+}
+
+fn sequence(mut args: Args) {
+    let degree: u32 = args.num("--degree").unwrap_or(9);
+    let factor: usize = args.num("--factor").unwrap_or(1);
+    args.finish();
     let seq = MSequence::new(degree);
     println!(
         "m-sequence: degree {degree}, N = {}, polynomial {}",
@@ -262,94 +404,60 @@ fn sequence(args: &[String]) {
     );
 }
 
-/// Overrides a [`GraphSpec`]'s defaults with any flags present in `args`
-/// (the flag set shared by `htims pipeline|trace|serve`, including
-/// `--seed` so traces and ledger lines are reproducible end-to-end).
-fn parse_graph(mut spec: GraphSpec, args: &[String]) -> GraphSpec {
-    if let Some(v) = num_flag(args, "--degree") {
-        spec.degree = v;
+/// Reads the graph flags shared by `htims pipeline|serve|chaos` over
+/// `base`'s defaults (including `--seed`, so traces and ledger lines are
+/// reproducible end to end). An empty text value (`--faults ''`) clears
+/// the default.
+fn graph_spec(args: &mut Args, base: GraphSpec) -> GraphSpec {
+    fn text(args: &mut Args, name: &str, default: Option<String>) -> Option<String> {
+        args.string(name)
+            .map_or(default, |v| Some(v).filter(|v| !v.is_empty()))
     }
-    if let Some(v) = num_flag(args, "--mz") {
-        spec.mz = v;
+    GraphSpec {
+        degree: args.num("--degree").unwrap_or(base.degree),
+        mz: args.num("--mz").unwrap_or(base.mz),
+        frames: args.num("--frames").unwrap_or(base.frames),
+        blocks: args
+            .num::<usize>("--blocks")
+            .map_or(base.blocks, |b| b.max(1)),
+        depth: args.num("--depth").unwrap_or(base.depth),
+        backend: args.string("--backend").unwrap_or(base.backend),
+        threads: args.num("--threads").unwrap_or(base.threads),
+        coarse: args.num("--coarse").or(base.coarse),
+        executor: args.string("--executor").unwrap_or(base.executor),
+        seed: args.num("--seed").unwrap_or(base.seed),
+        faults: text(args, "--faults", base.faults),
+        stall_timeout_ms: args
+            .duration("--stall-timeout")
+            .map(|d| d.as_millis() as u64)
+            .or(base.stall_timeout_ms),
+        sparse: args.switch("--sparse") || base.sparse,
+        slo: text(args, "--slo", base.slo),
+        flight_dir: text(args, "--flight-dir", base.flight_dir),
+        profile_dir: text(args, "--profile", base.profile_dir),
+        shards: args.num("--shards").unwrap_or(base.shards),
+        capture_log: text(args, "--capture-log", base.capture_log),
     }
-    if let Some(v) = num_flag(args, "--frames") {
-        spec.frames = v;
-    }
-    if let Some(v) = num_flag::<usize>(args, "--blocks") {
-        spec.blocks = v.max(1);
-    }
-    if let Some(v) = num_flag(args, "--depth") {
-        spec.depth = v;
-    }
-    if let Some(v) = flag(args, "--backend") {
-        spec.backend = v;
-    }
-    if let Some(v) = num_flag(args, "--threads") {
-        spec.threads = v;
-    }
-    spec.coarse = num_flag(args, "--coarse");
-    if let Some(v) = flag(args, "--executor") {
-        spec.executor = v;
-    }
-    if let Some(v) = num_flag(args, "--seed") {
-        spec.seed = v;
-    }
-    if let Some(v) = flag(args, "--faults") {
-        spec.faults = (!v.is_empty()).then_some(v);
-    }
-    if let Some(v) = flag(args, "--stall-timeout") {
-        let d = parse_duration(&v).unwrap_or_else(|| {
-            eprintln!("bad --stall-timeout '{v}' (use e.g. 250ms or 2s)");
-            std::process::exit(2);
-        });
-        spec.stall_timeout_ms = Some(d.as_millis() as u64);
-    }
-    if args.iter().any(|a| a == "--sparse") {
-        spec.sparse = true;
-    }
-    if let Some(v) = flag(args, "--slo") {
-        spec.slo = (!v.is_empty()).then_some(v);
-    }
-    if let Some(v) = flag(args, "--flight-dir") {
-        spec.flight_dir = (!v.is_empty()).then_some(v);
-    }
-    if let Some(v) = flag(args, "--profile") {
-        spec.profile_dir = (!v.is_empty()).then_some(v);
-    }
-    if let Some(v) = num_flag(args, "--shards") {
-        spec.shards = v;
-    }
-    if let Some(v) = flag(args, "--capture-log") {
-        spec.capture_log = (!v.is_empty()).then_some(v);
-    }
-    spec
-}
-
-/// Runs a parsed spec, exiting with the library's message on bad input.
-fn run_graph(spec: &GraphSpec) -> htims::core::pipeline::PipelineOutput {
-    spec.run().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
 }
 
 /// The ledger sink for this invocation: `--ledger <path>` overrides the
 /// default `RUNS.jsonl`; `--no-ledger` disables the append.
-fn ledger_path(args: &[String]) -> Option<String> {
-    if args.iter().any(|a| a == "--no-ledger") {
+fn ledger_flags(args: &mut Args) -> Option<String> {
+    let path = args.string("--ledger");
+    if args.switch("--no-ledger") {
         return None;
     }
-    Some(flag(args, "--ledger").unwrap_or_else(|| "RUNS.jsonl".into()))
+    Some(path.unwrap_or_else(|| "RUNS.jsonl".into()))
 }
 
 /// Appends `record` to the invocation's ledger. Best-effort: a read-only
 /// working directory degrades to one warning plus the
 /// `obs.ledger.append_failed` counter, never a failed run.
-fn append_ledger(args: &[String], record: &ims_obs::LedgerRecord) {
-    let Some(path) = ledger_path(args) else {
+fn append_ledger(ledger: Option<&str>, record: &ims_obs::LedgerRecord) {
+    let Some(path) = ledger else {
         return;
     };
-    if ims_obs::ledger::append_best_effort(&path, record) {
+    if ims_obs::ledger::append_best_effort(path, record) {
         eprintln!("ledger line appended to {path}");
     }
 }
@@ -360,16 +468,15 @@ fn graph_ledger_record(
     spec: &GraphSpec,
     report: &htims::core::pipeline::PipelineReport,
 ) -> ims_obs::LedgerRecord {
-    let provenance = htims::obs::Provenance::collect(
+    let provenance = provenance(
         spec.resolved_threads(),
-        htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
-    )
-    .with_simd(&report.simd)
-    .with_sparse(if report.sparse_blocks > 0 {
-        "sparse"
-    } else {
-        "dense"
-    });
+        &report.simd,
+        if report.sparse_blocks > 0 {
+            "sparse"
+        } else {
+            "dense"
+        },
+    );
     let mut rec = ims_obs::LedgerRecord::new(tool, &provenance, spec.fingerprint());
     rec.wall_seconds = report.wall_seconds;
     rec.frames = report.frames;
@@ -453,15 +560,37 @@ fn observe_slo(
 /// accumulate → deconvolve) and emits the run's `PipelineReport` as JSON:
 /// per-stage busy/blocked time, queue high-water marks, cycle totals, and
 /// simulated link time.
-fn pipeline(args: &[String]) {
-    if let Some(dir) = flag(args, "--replay") {
-        replay_pipeline(&dir, args);
+///
+/// `--trace <dir>` also runs the graph under an `ims_obs` `TraceSession`
+/// and writes `dir/trace.json`, a Chrome trace-event array (a track per
+/// pipeline thread: stage iterations, recv/send waits, deconv panels,
+/// queue depths; open it at <https://ui.perfetto.dev>), and
+/// `dir/metrics.json`, the `ObsReport` (provenance, counters, gauges,
+/// latency histograms) next to the run's `PipelineReport`.
+fn pipeline(mut args: Args) {
+    let out_path = args.string("--out");
+    let ledger = ledger_flags(&mut args);
+    if let Some(dir) = args.string("--replay") {
+        // The manifest fixes every graph flag.
+        args.command.push_str(" --replay");
+        args.finish();
+        replay_pipeline(&dir, out_path.as_deref(), ledger.as_deref());
         return;
     }
-    let spec = parse_graph(GraphSpec::small(), args);
+    let trace_dir = args.string("--trace");
+    let spec = graph_spec(&mut args, GraphSpec::small());
+    args.finish();
+    let trace = trace_dir.as_ref().map(|_| {
+        htims::obs::TraceSession::start(provenance(
+            spec.resolved_threads(),
+            htims::signal::simd::active_name(),
+            if spec.sparse { "sparse" } else { "dense" },
+        ))
+    });
     maybe_reset_profile(&spec);
-    let out = run_graph(&spec);
+    let out = spec.run().unwrap_or_else(|e| die(e));
     maybe_write_profile(&spec);
+    let trace = trace.map(htims::obs::TraceSession::finish);
     eprintln!(
         "{} executor, backend {}: {} frames -> {} blocks in {:.1} ms \
          (simulated link {:.3} ms, capture {} cycles, deconvolve {} cycles)",
@@ -474,40 +603,56 @@ fn pipeline(args: &[String]) {
         out.report.capture_cycles,
         out.report.deconv_cycles,
     );
-    let json = serde_json::to_string_pretty(&out.report).unwrap();
-    match flag(args, "--out") {
-        Some(path) => {
-            std::fs::write(&path, json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("report written to {path}");
-        }
-        None => println!("{json}"),
+    if let (Some(dir), Some(obs)) = (&trace_dir, trace) {
+        write_trace(dir, obs, &spec, &out.report);
     }
-    append_ledger(args, &graph_ledger_record("pipeline", &spec, &out.report));
+    emit_json(&out.report, out_path.as_deref(), "report");
+    append_ledger(
+        ledger.as_deref(),
+        &graph_ledger_record("pipeline", &spec, &out.report),
+    );
+}
+
+/// Writes the `--trace <dir>` artifacts of one finished run.
+fn write_trace(
+    dir: &str,
+    mut obs: htims::obs::ObsReport,
+    spec: &GraphSpec,
+    report: &htims::core::pipeline::PipelineReport,
+) {
+    obs.slo = run_slo_summary(spec, report);
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("cannot create {dir}: {e}")));
+    let mut trace_text = obs.chrome_trace_json();
+    trace_text.push('\n');
+    write_file(&format!("{dir}/trace.json"), &trace_text);
+    eprintln!(
+        "chrome trace written to {dir}/trace.json ({} spans on {} threads; \
+         open at https://ui.perfetto.dev)",
+        obs.spans.len(),
+        obs.threads.len(),
+    );
+    let combined = serde_json::json!({
+        "obs": obs,
+        "pipeline": report.clone(),
+    });
+    emit_json(
+        &combined,
+        Some(&format!("{dir}/metrics.json")),
+        "metrics snapshot",
+    );
 }
 
 /// `htims pipeline --replay <dir>`: re-runs a captured run from its frame
 /// log and holds the output to the manifest's FNV. A mismatch is a
 /// determinism bug (or a tampered log) and exits nonzero so CI can gate
 /// on it.
-fn replay_pipeline(dir: &str, args: &[String]) {
-    let outcome = htims::graph::replay(dir).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let json = serde_json::to_string_pretty(&outcome.output.report).unwrap();
-    match flag(args, "--out") {
-        Some(path) => {
-            std::fs::write(&path, json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("report written to {path}");
-        }
-        None => println!("{json}"),
-    }
+fn replay_pipeline(dir: &str, out_path: Option<&str>, ledger: Option<&str>) {
+    let outcome = htims::graph::replay(dir).unwrap_or_else(|e| die(e));
+    emit_json(&outcome.output.report, out_path, "report");
+    append_ledger(
+        ledger,
+        &graph_ledger_record("pipeline", &outcome.spec, &outcome.output.report),
+    );
     if outcome.matches() {
         eprintln!(
             "replay OK: output FNV 0x{:016x} matches the captured run ({} frames -> {} blocks)",
@@ -520,71 +665,6 @@ fn replay_pipeline(dir: &str, args: &[String]) {
         );
         std::process::exit(3);
     }
-}
-
-/// `htims trace`: runs the hybrid stage graph under an `ims_obs`
-/// `TraceSession` and writes two artifacts:
-///
-/// * `--out` (default `trace.json`) — a Chrome trace-event array with one
-///   named track per pipeline thread (spans for every stage iteration,
-///   recv/send waits, deconv panels, queue-depth counter tracks). Open it
-///   at <https://ui.perfetto.dev> or `chrome://tracing`.
-/// * `--metrics` (default `metrics.json`) — the full `ObsReport`:
-///   provenance (schema version, git describe, threads, panel width),
-///   every counter/gauge, and per-stage latency histograms (p50/p90/p99).
-///
-/// Accepts all `htims pipeline` flags (including `--seed`, so a trace is
-/// reproducible end-to-end); the defaults are the E3 throughput workload
-/// (degree 9, 1000 m/z columns, software backend).
-fn trace(args: &[String]) {
-    let spec = parse_graph(GraphSpec::e3(), args);
-    let session = htims::obs::TraceSession::start(
-        htims::obs::Provenance::collect(
-            spec.resolved_threads(),
-            htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
-        )
-        .with_simd(htims::signal::simd::active_name())
-        .with_sparse(if spec.sparse { "sparse" } else { "dense" }),
-    );
-    maybe_reset_profile(&spec);
-    let out = run_graph(&spec);
-    maybe_write_profile(&spec);
-    let mut report = session.finish();
-    report.slo = run_slo_summary(&spec, &out.report);
-    eprintln!(
-        "{} executor, backend {}: {} frames -> {} blocks in {:.1} ms; \
-         {} spans on {} threads",
-        out.report.executor,
-        out.report.backend,
-        out.report.frames,
-        out.report.blocks,
-        out.report.wall_seconds * 1e3,
-        report.spans.len(),
-        report.threads.len(),
-    );
-
-    let trace_path = flag(args, "--out").unwrap_or_else(|| "trace.json".into());
-    let mut trace_text = report.chrome_trace_json();
-    trace_text.push('\n');
-    std::fs::write(&trace_path, trace_text).unwrap_or_else(|e| {
-        eprintln!("cannot write {trace_path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("chrome trace written to {trace_path} (open at https://ui.perfetto.dev)");
-
-    let metrics_path = flag(args, "--metrics").unwrap_or_else(|| "metrics.json".into());
-    let combined = serde_json::json!({
-        "obs": report,
-        "pipeline": out.report,
-    });
-    let mut metrics_text = serde_json::to_string_pretty(&combined).unwrap();
-    metrics_text.push('\n');
-    std::fs::write(&metrics_path, metrics_text).unwrap_or_else(|e| {
-        eprintln!("cannot write {metrics_path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("metrics snapshot written to {metrics_path}");
-    append_ledger(args, &graph_ledger_record("trace", &spec, &out.report));
 }
 
 /// `htims serve`: the continuous-telemetry mode. Runs the E3-shaped
@@ -618,36 +698,34 @@ fn trace(args: &[String]) {
 /// final batch. SIGINT/SIGTERM trigger the same exit path early:
 /// admission stops, in-flight sessions drain, and every sink (sampler
 /// series, ledger, `--profile` dump) is flushed before the process ends.
-fn serve(args: &[String]) {
-    let spec = parse_graph(GraphSpec::e3(), args);
+fn serve(mut args: Args) {
+    let spec = graph_spec(&mut args, GraphSpec::e3());
+    let duration = args
+        .duration("--duration")
+        .unwrap_or(std::time::Duration::from_secs(10));
+    let port: u16 = args.num("--port").unwrap_or(9464);
+    let sample_ms: u64 = args.num("--sample-ms").unwrap_or(200);
+    let series = args.string("--series");
+    let sessions: usize = args.num("--sessions").unwrap_or(1).max(1);
+    let max_sessions: usize = args.num("--max-sessions").unwrap_or(sessions).max(1);
+    let ledger = ledger_flags(&mut args);
+    if sessions > 1 && spec.executor == "inline" {
+        // Tenants always run on the shared pool.
+        args.fail("--executor inline cannot multiplex --sessions".into());
+    }
+    args.finish();
     // Graceful shutdown: SIGINT/SIGTERM stop admission at the next loop
     // check; in-flight sessions drain, then the sampler, ledger, and any
     // `--profile` dump flush exactly as on a timed exit.
     install_signal_handlers();
-    let duration = flag(args, "--duration")
-        .map(|v| {
-            parse_duration(&v).unwrap_or_else(|| {
-                eprintln!("cannot parse --duration '{v}' (try 2s, 500ms, 1.5s)");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(std::time::Duration::from_secs(10));
-    let port: u16 = num_flag(args, "--port").unwrap_or(9464);
-    let sample_ms: u64 = num_flag(args, "--sample-ms").unwrap_or(200);
-    let sessions: usize = num_flag(args, "--sessions").unwrap_or(1).max(1);
-    let max_sessions: usize = num_flag(args, "--max-sessions").unwrap_or(sessions).max(1);
-    let provenance = htims::obs::Provenance::collect(
+    let provenance = provenance(
         spec.resolved_threads(),
-        htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
-    )
-    .with_simd(htims::signal::simd::active_name())
-    .with_sparse(if spec.sparse { "sparse" } else { "dense" });
+        htims::signal::simd::active_name(),
+        if spec.sparse { "sparse" } else { "dense" },
+    );
     // Parsed once up front so a bad `--slo` dies before the listener is
     // up; per-session engines accumulate sliding windows across runs.
-    let slo_spec = spec.slo_spec().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let slo_spec = spec.slo_spec().unwrap_or_else(|e| die(e));
     let mut slo_engines: std::collections::HashMap<String, ims_obs::SloEngine> =
         std::collections::HashMap::new();
 
@@ -674,10 +752,7 @@ fn serve(args: &[String]) {
         provenance.clone(),
         sessions_provider,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot bind 127.0.0.1:{port}: {e}");
-        std::process::exit(2);
-    });
+    .unwrap_or_else(|e| die(format!("cannot bind 127.0.0.1:{port}: {e}")));
     // Stdout, not stderr: scripts capture the bound port (`--port 0`).
     println!(
         "serving http://{}/metrics (also /sessions, /report.json, /profile, /healthz)",
@@ -686,12 +761,9 @@ fn serve(args: &[String]) {
     let sampler = ims_obs::Sampler::start(ims_obs::SamplerConfig {
         interval: std::time::Duration::from_millis(sample_ms.max(1)),
         ring_capacity: 4096,
-        jsonl_path: flag(args, "--series").map(Into::into),
+        jsonl_path: series.map(Into::into),
     })
-    .unwrap_or_else(|e| {
-        eprintln!("cannot open --series sink: {e}");
-        std::process::exit(2);
-    });
+    .unwrap_or_else(|e| die(format!("cannot open --series sink: {e}")));
 
     let started = std::time::Instant::now();
     let mut runs = 0u64;
@@ -704,7 +776,7 @@ fn serve(args: &[String]) {
         if sessions == 1 {
             // Single-tenant: the PR-4 serve loop, bit-for-bit (unlabeled
             // metric names, the spec's own executor and seed).
-            let out = run_graph(&spec);
+            let out = spec.run().unwrap_or_else(|e| die(e));
             runs += 1;
             frames += out.report.frames;
             blocks += out.report.blocks;
@@ -731,13 +803,9 @@ fn serve(args: &[String]) {
         for i in 0..sessions {
             let tenant = GraphSpec {
                 seed: htims::core::fault::session_seed(spec.seed, i as u64),
-                executor: "scheduled".into(),
                 ..spec.clone()
             };
-            let pipeline = tenant.build().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
+            let pipeline = tenant.build().unwrap_or_else(|e| die(e));
             let config = htims::core::pipeline::SessionConfig {
                 label: format!("s{i}"),
                 seed: tenant.seed,
@@ -750,8 +818,7 @@ fn serve(args: &[String]) {
             if let Err((err, pipeline)) = admit {
                 eprintln!("session s{i} not admitted ({err}); draining one");
                 let Some((spec_done, handle)) = handles.pop_front() else {
-                    eprintln!("session s{i} rejected with nothing to drain");
-                    std::process::exit(2);
+                    die(format!("session s{i} rejected with nothing to drain"));
                 };
                 finish_session(
                     spec_done,
@@ -780,10 +847,7 @@ fn serve(args: &[String]) {
             }
             match admit {
                 Ok(handle) => handles.push_back((tenant, handle)),
-                Err((err, _)) => {
-                    eprintln!("session s{i} rejected twice ({err})");
-                    std::process::exit(2);
-                }
+                Err((err, _)) => die(format!("session s{i} rejected twice ({err})")),
             }
         }
         while let Some((tenant, handle)) = handles.pop_front() {
@@ -839,7 +903,7 @@ fn serve(args: &[String]) {
         for (tenant, report) in &last_batch {
             let mut rec = graph_ledger_record("serve", tenant, report);
             rec.session = report.session.clone();
-            append_ledger(args, &rec);
+            append_ledger(ledger.as_deref(), &rec);
         }
     } else {
         eprintln!(
@@ -854,7 +918,7 @@ fn serve(args: &[String]) {
     rec.wall_seconds = wall;
     rec.frames = frames;
     rec.blocks = blocks;
-    append_ledger(args, &rec);
+    append_ledger(ledger.as_deref(), &rec);
 }
 
 /// Joins one admitted session and folds its run into the serve-level
@@ -905,18 +969,14 @@ fn finish_session(
 /// `--iterations <n>` bounds the loop for scripts and CI (0, the
 /// default, runs until the exporter goes away or Ctrl-C). Exits 1 when
 /// the exporter is unreachable on the very first poll.
-fn top(args: &[String]) {
-    let host = flag(args, "--host").unwrap_or_else(|| "127.0.0.1".into());
-    let port: u16 = num_flag(args, "--port").unwrap_or(9464);
-    let interval = flag(args, "--interval")
-        .map(|v| {
-            parse_duration(&v).unwrap_or_else(|| {
-                eprintln!("cannot parse --interval '{v}' (try 1s, 500ms)");
-                std::process::exit(2);
-            })
-        })
+fn top(mut args: Args) {
+    let host = args.string("--host").unwrap_or_else(|| "127.0.0.1".into());
+    let port: u16 = args.num("--port").unwrap_or(9464);
+    let interval = args
+        .duration("--interval")
         .unwrap_or(std::time::Duration::from_secs(1));
-    let iterations: u64 = num_flag(args, "--iterations").unwrap_or(0);
+    let iterations: u64 = args.num("--iterations").unwrap_or(0);
+    args.finish();
     install_signal_handlers();
     let addr = format!("{host}:{port}");
 
@@ -1110,45 +1170,39 @@ fn render_top(
 /// the clean control), `--seeds` crosses the matrix with several seeds,
 /// and `--strict` exits nonzero unless every cell reproduced and none
 /// failed outright.
-fn chaos(args: &[String]) {
+fn chaos(mut args: Args) {
     // Chaos defaults: the small graph shape with the watchdog armed (2 s —
     // far above the matrix's injected stalls, so only real wedges trip it).
-    let mut base = parse_graph(
+    let mut base = graph_spec(
+        &mut args,
         GraphSpec {
             frames: 8,
             blocks: 2,
             stall_timeout_ms: Some(2_000),
             ..GraphSpec::small()
         },
-        args,
     );
-    base.faults = None; // the matrix supplies each cell's spec
+    if base.faults.is_some() {
+        args.fail("--faults: the matrix arms each cell (use --matrix)".into());
+    }
     if base.shards == 0 {
         // Shard the accumulator so the matrix's `shard.kill` cells have
         // several independent victims (merged output is bit-identical, so
         // every other cell is unaffected). `--shards` overrides.
         base.shards = 4;
     }
-    let seeds: Vec<u64> = match flag(args, "--seeds") {
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("bad --seeds entry '{s}' (use e.g. --seeds 7,8,9)");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-        None => vec![base.seed],
-    };
-    let matrix: Vec<String> = match flag(args, "--matrix") {
+    let seeds: Vec<u64> = args.list("--seeds").unwrap_or_else(|| vec![base.seed]);
+    let matrix: Vec<String> = match args.string("--matrix") {
         Some(list) => list.split(';').map(|s| s.trim().to_string()).collect(),
         None => htims::chaos::default_matrix(),
     };
-    let report = htims::chaos::run_matrix(&base, &matrix, &seeds).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let out_path = args.string("--out");
+    let strict = args.switch("--strict");
+    let ledger = ledger_flags(&mut args);
+    args.finish();
+    maybe_reset_profile(&base);
+    let report = htims::chaos::run_matrix(&base, &matrix, &seeds).unwrap_or_else(|e| die(e));
+    maybe_write_profile(&base);
     eprintln!(
         "chaos soak: {} cells ({} completed, {} degraded, {} failed, {} irreproducible); \
          shards: {} rebuilt from capture, {} lost",
@@ -1160,22 +1214,12 @@ fn chaos(args: &[String]) {
         report.cells.iter().map(|c| c.shard_rebuilds).sum::<u64>(),
         report.cells.iter().map(|c| c.shards_lost).sum::<u64>(),
     );
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    match flag(args, "--out") {
-        Some(path) => {
-            std::fs::write(&path, json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("survival report written to {path}");
-        }
-        None => println!("{json}"),
-    }
-    let provenance = htims::obs::Provenance::collect(
+    emit_json(&report, out_path.as_deref(), "survival report");
+    let provenance = provenance(
         base.resolved_threads(),
-        htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
-    )
-    .with_simd(htims::signal::simd::active_name());
+        htims::signal::simd::active_name(),
+        "",
+    );
     let mut rec = ims_obs::LedgerRecord::new("chaos", &provenance, base.fingerprint());
     rec.wall_seconds = report.cells.iter().map(|c| c.wall_seconds).sum();
     rec.blocks = report.cells.iter().map(|c| c.blocks).sum();
@@ -1187,30 +1231,17 @@ fn chaos(args: &[String]) {
         }
         .to_string(),
     );
-    append_ledger(args, &rec);
-    if args.iter().any(|a| a == "--strict") && !report.survived() {
+    append_ledger(ledger.as_deref(), &rec);
+    if strict && !report.survived() {
         eprintln!("chaos soak FAILED (see the survival report)");
         std::process::exit(1);
     }
 }
 
-/// Parses `2s` / `500ms` / bare seconds (`1.5`) into a `Duration`.
-fn parse_duration(text: &str) -> Option<std::time::Duration> {
-    let t = text.trim();
-    let (number, scale) = if let Some(ms) = t.strip_suffix("ms") {
-        (ms, 1e-3)
-    } else if let Some(s) = t.strip_suffix('s') {
-        (s, 1.0)
-    } else {
-        (t, 1.0)
-    };
-    let secs: f64 = number.trim().parse().ok()?;
-    (secs.is_finite() && secs >= 0.0).then(|| std::time::Duration::from_secs_f64(secs * scale))
-}
-
 /// `htims bench deconv`: times the scalar per-column reference against the
 /// batched panel engine on the E3 block (511 drift × 1000 m/z) and emits a
-/// machine-readable report (`BENCH_deconv.json` with `--json`).
+/// machine-readable report (to `--out`, e.g. `BENCH_deconv.json`, or
+/// stdout).
 ///
 /// Engines:
 /// * `scalar-column` — gather each strided column, run the per-column
@@ -1225,23 +1256,31 @@ fn parse_duration(text: &str) -> Option<std::time::Duration> {
 /// All engines produce bit-identical output; only the schedule of the
 /// arithmetic differs. `speedup_vs_scalar` is relative to the same method's
 /// scalar-column row (sparse rows: the sparse block's own scalar row).
-fn bench(args: &[String]) {
-    match args.get(1).map(String::as_str) {
+fn bench(args: Args) {
+    let mut argv = args.argv.into_iter();
+    let target = argv.next();
+    let args = Args::new(&format!("bench {}", target.as_deref().unwrap_or("")), argv);
+    match target.as_deref() {
         Some("deconv") => bench_deconv(args),
         Some("compare") => bench_compare(args),
-        other => {
-            eprintln!(
-                "unknown bench target {:?} (use `deconv` or `compare`)",
-                other.unwrap_or("<none>")
-            );
-            std::process::exit(2);
-        }
+        other => die(format!(
+            "unknown bench target {:?} (use `deconv` or `compare`)",
+            other.unwrap_or("<none>")
+        )),
     }
 }
 
-fn bench_deconv(args: &[String]) {
+fn bench_deconv(mut args: Args) {
     let bench_started = std::time::Instant::now();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = args.switch("--quick");
+    let threads: Vec<usize> = args
+        .list::<std::num::NonZeroUsize>("--threads")
+        .map(|list| list.into_iter().map(|t| t.get()).collect())
+        .unwrap_or_else(|| thread_sweep(quick));
+    let sparse_enabled = args.switch("--sparse");
+    let out_path = args.string("--out");
+    let ledger = ledger_flags(&mut args);
+    args.finish();
     let degree = 9u32;
     let n = (1usize << degree) - 1;
     let mz_bins = if quick { 200 } else { 1000 };
@@ -1296,22 +1335,6 @@ fn bench_deconv(args: &[String]) {
         };
 
     let widths: &[usize] = if quick { &[32] } else { &[8, 32, 128] };
-    let threads: Vec<usize> = match flag(args, "--threads") {
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("bad --threads entry '{s}' (use e.g. --threads 1,2,4)");
-                        std::process::exit(2);
-                    })
-            })
-            .collect(),
-        None => thread_sweep(quick),
-    };
 
     // Floating-point software methods: weighted circulant + simplex FWHT.
     for method in [
@@ -1408,7 +1431,6 @@ fn bench_deconv(args: &[String]) {
     // against a scalar-column reference *on the sparse block*; the
     // `sparse-skip` rows run the CSR skip-zero path (bit-identical to
     // dense, priced per occupied column).
-    let sparse_enabled = args.iter().any(|a| a == "--sparse");
     let mut sparse_occupancy = serde_json::Value::Null;
     if sparse_enabled {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -1495,14 +1517,19 @@ fn bench_deconv(args: &[String]) {
     // Schema v3: `provenance` (with the dispatched SIMD backend and the
     // sparse/dense decision) makes BENCH_*.json files comparable across
     // PRs — which tree built the binary, which kernels actually ran.
+    let suite_threads = threads.last().copied().unwrap_or(1);
+    let provenance = provenance(
+        suite_threads,
+        htims::signal::simd::active_name(),
+        if sparse_enabled {
+            "sparse+dense"
+        } else {
+            "dense"
+        },
+    );
     let report = serde_json::json!({
         "schema_version": htims::obs::OBS_SCHEMA_VERSION,
-        "provenance": htims::obs::Provenance::collect(
-            threads.last().copied().unwrap_or(1),
-            htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
-        )
-        .with_simd(htims::signal::simd::active_name())
-        .with_sparse(if sparse_enabled { "sparse+dense" } else { "dense" }),
+        "provenance": provenance.clone(),
         "block": serde_json::json!({
             "drift_bins": n,
             "mz_bins": mz_bins,
@@ -1511,30 +1538,10 @@ fn bench_deconv(args: &[String]) {
         }),
         "rows": rows,
     });
-    if args.iter().any(|a| a == "--json") || flag(args, "--out").is_some() {
-        let path = flag(args, "--out").unwrap_or_else(|| "BENCH_deconv.json".into());
-        let mut text = serde_json::to_string_pretty(&report).unwrap();
-        text.push('\n');
-        std::fs::write(&path, text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("bench report written to {path}");
-    }
+    emit_json(&report, out_path.as_deref(), "bench report");
 
     // One ledger line for the whole suite: fingerprinted on the block
     // shape, best observed throughput as the headline number.
-    let suite_threads = threads.last().copied().unwrap_or(1);
-    let provenance = htims::obs::Provenance::collect(
-        suite_threads,
-        htims::core::deconv_batch::DEFAULT_PANEL_WIDTH,
-    )
-    .with_simd(htims::signal::simd::active_name())
-    .with_sparse(if sparse_enabled {
-        "sparse+dense"
-    } else {
-        "dense"
-    });
     let fingerprint = ims_obs::config_fingerprint(&ims_obs::FingerprintParts {
         drift_bins: n,
         mz_bins,
@@ -1550,7 +1557,7 @@ fn bench_deconv(args: &[String]) {
         .iter()
         .filter_map(|r| r.field("mcells_per_second").as_f64())
         .fold(0.0, f64::max);
-    append_ledger(args, &rec);
+    append_ledger(ledger.as_deref(), &rec);
 }
 
 /// `htims bench compare <baseline.json> <candidate.json>`: the perf
@@ -1559,32 +1566,14 @@ fn bench_deconv(args: &[String]) {
 /// machine-readable verdict is emitted (stdout, or `--out <file>`), and
 /// the exit code is 1 when any matched row regresses by more than
 /// `--max-regress-pct` (default 10).
-fn bench_compare(args: &[String]) {
-    let positional: Vec<&String> = {
-        // Skip flag names and their values; what remains are the two
-        // report paths.
-        let mut out = Vec::new();
-        let mut i = 2;
-        while i < args.len() {
-            let a = &args[i];
-            if a == "--max-regress-pct" || a == "--out" || a == "--ledger" {
-                i += 2;
-                continue;
-            }
-            if a.starts_with("--") {
-                i += 1;
-                continue;
-            }
-            out.push(a);
-            i += 1;
-        }
-        out
-    };
+fn bench_compare(mut args: Args) {
+    let max_regress_pct: f64 = args.num("--max-regress-pct").unwrap_or(10.0);
+    let out_path = args.string("--out");
+    let positional = args.positionals();
+    args.finish();
     let [baseline_path, candidate_path] = positional.as_slice() else {
-        eprintln!("usage: htims bench compare <baseline.json> <candidate.json> [--max-regress-pct <n>] [--out <verdict.json>]");
-        std::process::exit(2);
+        die("usage: htims bench compare <baseline.json> <candidate.json> [--max-regress-pct <n>] [--out <verdict.json>]");
     };
-    let max_regress_pct: f64 = num_flag(args, "--max-regress-pct").unwrap_or(10.0);
 
     let baseline = load_bench_rows(baseline_path);
     let candidate = load_bench_rows(candidate_path);
@@ -1638,8 +1627,9 @@ fn bench_compare(args: &[String]) {
         }));
     }
     if matched == 0 {
-        eprintln!("no comparable rows between {baseline_path} and {candidate_path}");
-        std::process::exit(2);
+        die(format!(
+            "no comparable rows between {baseline_path} and {candidate_path}"
+        ));
     }
 
     let ok = regressions == 0;
@@ -1662,18 +1652,7 @@ fn bench_compare(args: &[String]) {
         "ok": ok,
         "rows": verdict_rows,
     });
-    let mut text = serde_json::to_string_pretty(&verdict).unwrap();
-    text.push('\n');
-    match flag(args, "--out") {
-        Some(path) => {
-            std::fs::write(&path, text).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("verdict written to {path}");
-        }
-        None => print!("{text}"),
-    }
+    emit_json(&verdict, out_path.as_deref(), "verdict");
     eprintln!(
         "{matched} rows compared against {baseline_path} (schema v{}), \
          {regressions} regressed beyond {max_regress_pct}% -> {}",
@@ -1705,14 +1684,10 @@ struct BenchReport {
 /// Reads a `BENCH_deconv.json`-shaped report, dying with a usable message
 /// on malformed input.
 fn load_bench_rows(path: &str) -> BenchReport {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let value: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("{path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+    let value: serde_json::Value = serde_json::from_str(&text)
+        .unwrap_or_else(|e| die(format!("{path} is not valid JSON: {e}")));
     let schema_version = value.field("schema_version").as_u64().unwrap_or(0);
     let drift_bins = value
         .field("block")
@@ -1721,22 +1696,21 @@ fn load_bench_rows(path: &str) -> BenchReport {
         .unwrap_or(0) as usize;
     let mz_bins = value.field("block").field("mz_bins").as_u64().unwrap_or(0) as usize;
     let serde_json::Value::Array(raw_rows) = value.field("rows") else {
-        eprintln!("{path} has no `rows` array (is it a bench report?)");
-        std::process::exit(2);
+        die(format!(
+            "{path} has no `rows` array (is it a bench report?)"
+        ));
     };
     let mut rows = Vec::new();
     for raw in raw_rows {
         let (Some(method), Some(engine)) =
             (raw.field("method").as_str(), raw.field("engine").as_str())
         else {
-            eprintln!("{path}: row without method/engine");
-            std::process::exit(2);
+            die(format!("{path}: row without method/engine"));
         };
         let threads = raw.field("threads").as_u64().unwrap_or(0);
         let panel_width = raw.field("panel_width").as_u64().unwrap_or(0);
         let Some(mcells) = raw.field("mcells_per_second").as_f64() else {
-            eprintln!("{path}: row without mcells_per_second");
-            std::process::exit(2);
+            die(format!("{path}: row without mcells_per_second"));
         };
         // Pre-PR-4 reports carry no fingerprint; recompute from the key
         // so old baselines stay comparable.
@@ -1800,9 +1774,10 @@ fn thread_sweep(quick: bool) -> Vec<usize> {
     counts
 }
 
-fn feasibility(args: &[String]) {
-    let degree: u32 = num_flag(args, "--degree").unwrap_or(9);
-    let mz: usize = num_flag(args, "--mz").unwrap_or(100);
+fn feasibility(mut args: Args) {
+    let degree: u32 = args.num("--degree").unwrap_or(9);
+    let mz: usize = args.num("--mz").unwrap_or(100);
+    args.finish();
     let n = (1usize << degree) - 1;
     let seq = MSequence::new(degree);
     let acc = AccumulatorCore::new(n, mz, 32);
@@ -1836,29 +1811,60 @@ fn feasibility(args: &[String]) {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_flag, render_top};
+    use super::{graph_spec, render_top, Args, GraphSpec};
     use std::collections::HashMap;
     use std::time::Duration;
 
-    fn args(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
+    fn args(line: &str) -> Args {
+        Args::new("test", line.split_whitespace().map(String::from))
+    }
+
+    /// `finish`'s verdict on `line` after reading what `pipeline` reads,
+    /// `chaos --seeds` and `bench compare`'s positionals.
+    fn verdict(line: &str) -> Result<GraphSpec, String> {
+        let mut cli = args(line);
+        cli.string("--out");
+        let spec = graph_spec(&mut cli, GraphSpec::small());
+        cli.list::<u64>("--seeds");
+        cli.positionals();
+        cli.check().map(|()| spec)
+    }
+
+    fn assert_rejected(cases: &[(&str, &[&str])]) {
+        for (line, want) in cases {
+            let err = verdict(line).expect_err(line);
+            assert!(want.iter().all(|w| err.contains(w)), "{line}: {err}");
+        }
     }
 
     #[test]
     fn a_bad_seed_is_an_error_naming_the_flag_and_value() {
-        let cli = args("pipeline --seed abc --coarse 10");
-        let err = parse_flag::<u64>(&cli, "--seed").unwrap_err();
-        assert!(err.contains("--seed") && err.contains("'abc'"), "{err}");
-        assert_eq!(parse_flag::<usize>(&cli, "--coarse"), Ok(Some(10)));
-        assert_eq!(parse_flag::<u64>(&cli, "--shards"), Ok(None));
+        assert_rejected(&[
+            ("--seed abc --coarse 10", &["--seed", "'abc'"]),
+            ("--shard 4", &["unknown flag", "'--shard'"]),
+            ("--seed 1 --seed 2", &["--seed", "more than once"]),
+            ("--coarse", &["--coarse", "needs a value"]),
+            ("--out --sparse", &["--out", "needs a value", "'--sparse'"]),
+        ]);
+        let spec = verdict("--seed 7 --coarse 10 --sparse").unwrap();
+        assert_eq!(
+            (spec.seed, spec.coarse, spec.shards, spec.sparse),
+            (7, Some(10), 0, true)
+        );
     }
 
     #[test]
     fn a_bad_coarse_is_an_error_naming_the_flag_and_value() {
-        let cli = args("pipeline --seed 7 --coarse 1O");
-        let err = parse_flag::<usize>(&cli, "--coarse").unwrap_err();
-        assert!(err.contains("--coarse") && err.contains("'1O'"), "{err}");
-        assert_eq!(parse_flag::<u64>(&cli, "--seed"), Ok(Some(7)));
+        assert_rejected(&[
+            ("--seed 7 --coarse 1O", &["--coarse", "'1O'"]),
+            ("--stall-timeout 5q", &["--stall-timeout", "'5q'"]),
+            ("--seeds 7,x", &["--seeds", "'7,x'"]),
+            ("a.json --bogus b.json", &["unknown flag", "'--bogus'"]),
+        ]);
+        let mut cli = args("a.json --out v.json b.json");
+        assert_eq!(cli.string("--out").as_deref(), Some("v.json"));
+        assert_eq!(cli.positionals(), ["a.json", "b.json"]);
+        assert_eq!(cli.check(), Ok(()));
     }
 
     fn series(pairs: &[(&str, f64)]) -> HashMap<String, f64> {

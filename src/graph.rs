@@ -1,4 +1,4 @@
-//! The hybrid stage-graph runner behind `htims pipeline|trace|serve`.
+//! The hybrid stage-graph runner behind `htims pipeline|serve|chaos`.
 //!
 //! A [`GraphSpec`] is the full, reproducible description of one run:
 //! graph shape (PRS degree, m/z bins, frames, blocks, channel depth,
@@ -42,8 +42,7 @@ pub struct GraphSpec {
     pub threads: usize,
     /// Coarse m/z bin count for the on-chip binner stage, if any.
     pub coarse: Option<usize>,
-    /// Executor: `threaded` | `scheduled` | `inline` (the first two are
-    /// the same work-stealing runtime under different report tags).
+    /// Executor: `threaded` (the work-stealing runtime) | `inline`.
     pub executor: String,
     /// Seed for the acquisition RNG and the frame stream — the whole run
     /// is a pure function of the spec including this.
@@ -70,7 +69,7 @@ pub struct GraphSpec {
     pub flight_dir: Option<String>,
     /// Directory for the continuous-profiler dump (`profile.folded` +
     /// `profile.json`) written after the run by `htims
-    /// pipeline|trace|serve --profile <dir>`.
+    /// pipeline|serve|chaos --profile <dir>`.
     /// Observability-only: not part of the config fingerprint.
     pub profile_dir: Option<String>,
     /// m/z-range shards the accumulate stage splits its RAM into (0 and 1
@@ -113,30 +112,16 @@ impl GraphSpec {
         }
     }
 
-    /// Defaults of `htims trace` and `htims serve`: the E3 throughput
-    /// workload (511 drift bins × 1000 m/z, software backend) so traces
-    /// and live series answer the bench's "why is this configuration
-    /// slow" question.
+    /// Defaults of `htims serve`: the E3 throughput workload (511 drift
+    /// bins × 1000 m/z, software backend) so live series answer the
+    /// bench's "why is this configuration slow" question.
     pub fn e3() -> Self {
         Self {
             degree: 9,
             mz: 1000,
             frames: 20,
-            blocks: 2,
-            depth: 4,
             backend: "software".into(),
-            threads: 0,
-            coarse: None,
-            executor: "threaded".into(),
-            seed: 7,
-            faults: None,
-            stall_timeout_ms: None,
-            sparse: false,
-            slo: None,
-            flight_dir: None,
-            profile_dir: None,
-            shards: 0,
-            capture_log: None,
+            ..Self::small()
         }
     }
 
@@ -176,7 +161,7 @@ impl GraphSpec {
     /// segments after the run, closing the replay contract.
     pub fn run(&self) -> Result<PipelineOutput, String> {
         let (graph, capture) = self.build_inner()?;
-        let out = run_on_executor(&self.executor, graph)?;
+        let out = self.execute(graph);
         if let Some(log) = capture {
             log.finish()
                 .map_err(|e| format!("cannot finish capture log: {e}"))?;
@@ -195,7 +180,7 @@ impl GraphSpec {
 
     /// Builds the pipeline without running it — what the session
     /// multiplexer uses to admit many specs onto one scheduler. The
-    /// executor field is validated here too, so a bad spec fails at
+    /// executor field is validated here, so a bad spec fails at
     /// admission rather than mid-run.
     pub fn build(&self) -> Result<crate::core::pipeline::Pipeline, String> {
         self.build_inner().map(|(graph, _)| graph)
@@ -205,9 +190,9 @@ impl GraphSpec {
     /// the spec asks for one, so [`run`](Self::run) can finish the log
     /// and stamp the manifest after the executor drains.
     fn build_inner(&self) -> Result<(Pipeline, Option<CaptureLog>), String> {
-        if !matches!(self.executor.as_str(), "inline" | "threaded" | "scheduled") {
+        if !matches!(self.executor.as_str(), "inline" | "threaded") {
             return Err(format!(
-                "unknown executor '{}' (use threaded | scheduled | inline)",
+                "unknown executor '{}' (use threaded | inline)",
                 self.executor
             ));
         }
@@ -302,17 +287,14 @@ impl GraphSpec {
             None => Ok(None),
         }
     }
-}
 
-/// Runs a built pipeline on the named executor.
-fn run_on_executor(executor: &str, graph: Pipeline) -> Result<PipelineOutput, String> {
-    match executor {
-        "inline" => Ok(graph.run_inline()),
-        "threaded" => Ok(graph.run_threaded()),
-        "scheduled" => Ok(graph.run_scheduled()),
-        other => Err(format!(
-            "unknown executor '{other}' (use threaded | scheduled | inline)"
-        )),
+    /// Runs a pipeline [`build_inner`](Self::build_inner) built (which
+    /// checked the executor name) on the spec's executor.
+    fn execute(&self, graph: Pipeline) -> PipelineOutput {
+        match self.executor.as_str() {
+            "inline" => graph.run_inline(),
+            _ => graph.run_threaded(),
+        }
     }
 }
 
@@ -332,6 +314,9 @@ pub struct CaptureManifest {
 /// A replayed run and the fingerprint contract it was held to.
 #[derive(Debug)]
 pub struct ReplayOutcome {
+    /// The spec the replay ran: the manifest's, minus the capture log
+    /// and the source-side fault sites.
+    pub spec: GraphSpec,
     /// The replayed run's output.
     pub output: PipelineOutput,
     /// The captured run's output FNV, from the manifest.
@@ -390,9 +375,10 @@ pub fn replay(dir: &str) -> Result<ReplayOutcome, String> {
         .build()?
         .with_replay_source(packets)
         .with_capture_log(log);
-    let output = run_on_executor(&spec.executor, graph)?;
+    let output = spec.execute(graph);
     let actual_fnv = output_fingerprint(&output.blocks);
     Ok(ReplayOutcome {
+        spec,
         output,
         expected_fnv: manifest.output_fnv,
         actual_fnv,

@@ -33,7 +33,6 @@ fn run_batch(manager: &SessionManager, base_seed: u64, n: usize) -> BTreeMap<Str
     for i in 0..n {
         let spec = GraphSpec {
             seed: session_seed(base_seed, i as u64),
-            executor: "scheduled".into(),
             ..tiny()
         };
         let pipeline = spec.build().expect("tiny spec builds");
@@ -80,10 +79,7 @@ fn same_base_seed_reproduces_every_session_bit_for_bit() {
 #[test]
 fn admission_rejects_table_overflow_and_duplicate_labels() {
     let manager = SessionManager::new(Scheduler::new(1), 1);
-    let spec = GraphSpec {
-        executor: "scheduled".into(),
-        ..tiny()
-    };
+    let spec = GraphSpec { ..tiny() };
     let first = manager
         .admit(config(&spec, "only"), spec.build().unwrap())
         .map_err(|(e, _)| e)
@@ -133,7 +129,6 @@ fn a_faulty_tenant_fails_alone_while_others_complete() {
     for i in 0..4 {
         let mut spec = GraphSpec {
             seed: session_seed(7, i as u64),
-            executor: "scheduled".into(),
             ..tiny()
         };
         if i == 1 {

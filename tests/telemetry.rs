@@ -1,7 +1,7 @@
 //! Reproducibility contract of the seeded stage graph: a [`GraphSpec`]
 //! (including its `seed`) is the *whole* input, so two runs of the same
 //! spec must produce bit-identical blocks and identical deterministic
-//! metrics counts — the property `htims trace --seed` and the run ledger
+//! metrics counts — the property `htims pipeline --trace --seed` and the run ledger
 //! lean on when comparing runs by config fingerprint.
 
 use htims::graph::GraphSpec;
