@@ -188,18 +188,18 @@ fn parse_rate(site: &str, value: &str) -> Result<f64, String> {
     Ok(rate)
 }
 
-/// Parses `50ms` / `2s` / bare seconds (`1.5`) into a `Duration`.
-fn parse_duration(text: &str) -> Option<Duration> {
+/// Parses `50ms` / `2s` / bare seconds (`1.5`) into a `Duration` — the
+/// one duration grammar of the fault spec and the command line. `None`
+/// for anything that is not a non-negative number of seconds a `Duration`
+/// can hold (negative, NaN, infinite, or too large).
+pub fn parse_duration(text: &str) -> Option<Duration> {
     let t = text.trim();
-    let (number, scale) = if let Some(ms) = t.strip_suffix("ms") {
-        (ms, 1e-3)
-    } else if let Some(s) = t.strip_suffix('s') {
-        (s, 1.0)
-    } else {
-        (t, 1.0)
+    let (number, scale) = match t.strip_suffix("ms") {
+        Some(ms) => (ms, 1e-3),
+        None => (t.strip_suffix('s').unwrap_or(t), 1.0),
     };
     let secs: f64 = number.trim().parse().ok()?;
-    (secs.is_finite() && secs >= 0.0).then(|| Duration::from_secs_f64(secs * scale))
+    Duration::try_from_secs_f64(secs * scale).ok()
 }
 
 /// Counts of injected faults from one run, folded into the
@@ -633,6 +633,10 @@ mod tests {
             "bad duration"
         );
         assert!(FaultSpec::parse("source.stall=10ms@7").is_err(), "bad prob");
+        assert!(
+            FaultSpec::parse("source.stall=1e30").is_err(),
+            "duration overflows"
+        );
     }
 
     #[test]

@@ -113,8 +113,8 @@ pub struct HybridConfig {
     #[serde(default)]
     pub sparse: bool,
     /// m/z-range shards the accumulate stage splits its RAM into (0 and 1
-    /// both mean the monolithic single-shard fast path; counts above the
-    /// m/z width clamp). Merged output is bit-identical for every count.
+    /// both mean one shard, cycle-identical to the monolithic core; counts
+    /// above the m/z width clamp). Output is bit-identical for every count.
     #[serde(default)]
     pub shards: usize,
 }

@@ -225,15 +225,15 @@ impl Stage for BinnerStage {
                 ) {
                     return;
                 }
-                // Stream words straight off the wire packet into the reused
-                // coarse scratch row — no per-frame allocation on the fine
-                // side. The re-packed coarse frame carries no checksum: the
-                // binner is the integrity boundary, everything downstream
-                // of it is process-local memory. The origin timestamp is
-                // carried forward so end-to-end latency still measures
-                // from first packing.
+                // Bin straight from the wire packet's payload into the
+                // reused coarse scratch — no per-frame copy or allocation
+                // on the fine side. The re-packed coarse frame carries no
+                // checksum: the binner is the integrity boundary,
+                // everything downstream of it is process-local memory. The
+                // origin timestamp is carried forward so end-to-end latency
+                // still measures from first packing.
                 self.binner
-                    .bin_frame_into(p.words(), self.drift_bins, &mut self.scratch);
+                    .bin_payload_into(&p.payload, self.drift_bins, &mut self.scratch);
                 emit(Message::Frame(
                     FramePacket::from_words(p.seq_no, &self.scratch).with_origin(p.origin_ns),
                 ));
@@ -261,11 +261,13 @@ impl Stage for BinnerStage {
 ///
 /// The accumulator is split into m/z-range shards
 /// ([`ShardedAccumulator`]; one shard by default, bit- and
-/// cycle-identical to the monolithic engine). Under an armed `shard.kill`
-/// fault site, shards can be marked lost mid-block; a lost shard is
-/// rebuilt bit-exactly from the frame capture log when one is attached
-/// (`shard_rebuilds`), or drains its m/z range zeroed and degrades the
-/// run (`shards_lost` + `lost_mz_ranges`) when not.
+/// cycle-identical to the monolithic engine). Frames fold straight from
+/// the packet payload, and each drain moves the accumulation matrix into
+/// the block. Under an armed `shard.kill` fault site, shards can be
+/// marked lost mid-block; a lost shard is rebuilt bit-exactly from the
+/// frame capture log when one is attached (`shard_rebuilds`), or drains
+/// its m/z range zeroed and degrades the run (`shards_lost` +
+/// `lost_mz_ranges`) when not.
 #[derive(Debug, Clone)]
 pub struct AccumulateStage {
     acc: ShardedAccumulator,
@@ -348,7 +350,7 @@ impl AccumulateStage {
     }
 
     /// Splits the accumulation RAM into `n` m/z-range shards (clamped to
-    /// the column count; 1 keeps the monolithic fast path). Discards any
+    /// the column count; 1 is the monolithic engine). Discards any
     /// state accumulated so far, so call it at construction time. The
     /// merged output is bit-identical for every shard count — pinned by
     /// the `sharded_properties` proptests.
@@ -415,24 +417,20 @@ impl AccumulateStage {
         let log = self.capture.clone().ok_or("no capture log attached")?;
         let packets = log.read_frames(&self.folded).map_err(|e| e.to_string())?;
         for p in &packets {
-            if let Some((binner, drift)) = &mut self.rebuild_binner {
-                binner.bin_frame_into(p.words(), *drift, &mut self.rebuild_scratch);
-                let scratch = std::mem::take(&mut self.rebuild_scratch);
-                let out = self.acc.rebuild_frame(s, &scratch);
-                self.rebuild_scratch = scratch;
-                out.map_err(|e| e.to_string())?;
+            let out = if let Some((binner, drift)) = &mut self.rebuild_binner {
+                binner.bin_payload_into(&p.payload, *drift, &mut self.rebuild_scratch);
+                self.acc.rebuild_frame(s, &self.rebuild_scratch)
             } else {
-                self.acc
-                    .rebuild_frame(s, &p.to_words())
-                    .map_err(|e| e.to_string())?;
-            }
+                self.acc.rebuild_frame(s, &p.to_words())
+            };
+            out.map_err(|e| e.to_string())?;
         }
         Ok(())
     }
 
     fn drain_block(&mut self, emit: &mut dyn FnMut(Message)) {
         // Shards still lost at drain time zero their m/z range in the
-        // merged block — degraded-but-correct everywhere else.
+        // block — degraded-but-correct everywhere else.
         for s in 0..self.acc.shard_count() {
             if self.acc.is_lost(s) {
                 self.shards_lost += 1;
@@ -453,14 +451,7 @@ impl AccumulateStage {
             }
         }
         let (drift, mz) = (self.acc.drift_bins(), self.acc.mz_bins());
-        let data = if self.acc.shard_count() > 1 {
-            let t = std::time::Instant::now();
-            let merged = self.acc.drain_merged();
-            ims_obs::static_histogram!("accumulator.shard.merge_ns").record_duration(t.elapsed());
-            merged
-        } else {
-            self.acc.drain_merged()
-        };
+        let data = self.acc.drain_merged();
         self.folded.clear();
         let sparse = if self.sparse_enabled {
             ims_fpga::SparseBlock::from_dense_below(
@@ -508,7 +499,7 @@ impl Stage for AccumulateStage {
                     return;
                 }
                 self.acc
-                    .capture_frame_iter(p.words())
+                    .capture_payload(&p.payload)
                     .expect("frame shape mismatch in pipeline");
                 self.folded.push(p.seq_no);
                 if let Some(tap) = &self.obs {

@@ -37,6 +37,24 @@ impl std::fmt::Display for CaptureError {
 
 impl std::error::Error for CaptureError {}
 
+/// Adds `words` into `cells` with the chip's per-cell saturating add
+/// (ceiling `ceil`) and returns how many adds saturated. The one add loop
+/// of both accumulation engines; branch-free, so it vectorizes.
+#[inline]
+pub(crate) fn fold_saturating(
+    cells: &mut [u64],
+    words: impl Iterator<Item = u32>,
+    ceil: u64,
+) -> u64 {
+    let mut saturated = 0;
+    for (cell, word) in cells.iter_mut().zip(words) {
+        let sum = *cell + u64::from(word);
+        saturated += u64::from(sum > ceil);
+        *cell = sum.min(ceil);
+    }
+    saturated
+}
+
 /// Streaming accumulator over full IMS frames.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AccumulatorCore {
@@ -90,54 +108,6 @@ impl AccumulatorCore {
     /// Consumes one clock per word (II = 1) plus a fixed 4-cycle frame
     /// header overhead.
     pub fn capture_frame(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
-        self.capture_frame_iter(frame.iter().copied())
-    }
-
-    /// Captures one frame from a word stream without requiring a contiguous
-    /// slice — the allocation-free path for consumers that decode ADC words
-    /// straight out of a wire packet (see `FramePacket::words`).
-    pub fn capture_frame_iter<I>(&mut self, words: I) -> Result<(), CaptureError>
-    where
-        I: ExactSizeIterator<Item = u32>,
-    {
-        let expected = self.drift_bins * self.mz_bins;
-        if words.len() != expected {
-            return Err(CaptureError::FrameShape {
-                expected,
-                got: words.len(),
-            });
-        }
-        let _sp = ims_obs::span_cat("accumulator", "frame");
-        let ceil = self.cell_max();
-        let saturated_before = self.saturation_events;
-        for (cell, word) in self.acc.iter_mut().zip(words) {
-            let sum = *cell + word as u64;
-            if sum > ceil {
-                *cell = ceil;
-                self.saturation_events += 1;
-            } else {
-                *cell = sum;
-            }
-        }
-        self.frames_captured += 1;
-        self.cycles += expected as u64 + 4;
-        // One metrics update per frame (not per cell) keeps the add loop
-        // clean for the auto-vectorizer.
-        ims_obs::static_counter!("accumulator.frames").incr();
-        ims_obs::static_counter!("accumulator.saturation_events")
-            .add(self.saturation_events - saturated_before);
-        Ok(())
-    }
-
-    /// Captures one frame skipping zero ADC words — the zero-suppressed
-    /// path for centroided spectra, where most cells carry no counts.
-    /// Adding zero is the identity, so the accumulation RAM ends up
-    /// bit-identical to [`AccumulatorCore::capture_frame`]; only the
-    /// cycle model changes (a zero-suppressing front end consumes one
-    /// clock per *non-zero* word plus the frame header), which is the
-    /// point. Skipped words are tallied in the
-    /// `accumulator.sparse_words_skipped` counter.
-    pub fn capture_frame_sparse(&mut self, frame: &[u32]) -> Result<(), CaptureError> {
         let expected = self.drift_bins * self.mz_bins;
         if frame.len() != expected {
             return Err(CaptureError::FrameShape {
@@ -145,29 +115,16 @@ impl AccumulatorCore {
                 got: frame.len(),
             });
         }
-        let _sp = ims_obs::span_cat("accumulator", "frame-sparse");
+        let _sp = ims_obs::span_cat("accumulator", "frame");
         let ceil = self.cell_max();
-        let saturated_before = self.saturation_events;
-        let mut nonzero = 0u64;
-        for (cell, &word) in self.acc.iter_mut().zip(frame) {
-            if word == 0 {
-                continue;
-            }
-            nonzero += 1;
-            let sum = *cell + word as u64;
-            if sum > ceil {
-                *cell = ceil;
-                self.saturation_events += 1;
-            } else {
-                *cell = sum;
-            }
-        }
+        let saturated = fold_saturating(&mut self.acc, frame.iter().copied(), ceil);
+        self.saturation_events += saturated;
         self.frames_captured += 1;
-        self.cycles += nonzero + 4;
+        self.cycles += expected as u64 + 4;
+        // One metrics update per frame (not per cell) keeps the add loop
+        // clean for the auto-vectorizer.
         ims_obs::static_counter!("accumulator.frames").incr();
-        ims_obs::static_counter!("accumulator.sparse_words_skipped").add(expected as u64 - nonzero);
-        ims_obs::static_counter!("accumulator.saturation_events")
-            .add(self.saturation_events - saturated_before);
+        ims_obs::static_counter!("accumulator.saturation_events").add(saturated);
         Ok(())
     }
 

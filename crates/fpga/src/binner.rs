@@ -8,53 +8,37 @@
 //! accumulation RAM by the binning factor at the cost of m/z resolution on
 //! chip (the host retains full resolution only for the drift dimension it
 //! actually needs in real time).
+//!
+//! The binning is uniform, so each coarse bin is one contiguous run of
+//! fine bins in its drift row. The model sums each run at once instead of
+//! looking every word up in the ROM: for non-negative words, a `u64` sum
+//! clamped to `u32::MAX` equals the chip's chain of saturating adds.
 
 use crate::bram::{BramBudget, MemoryRequirement};
+use crate::dma::payload_words;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Streaming fine→coarse m/z binning core.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MzBinner {
     fine_bins: usize,
     coarse_bins: usize,
-    /// ROM: fine bin index → coarse bin index.
-    map: Vec<u32>,
     cycles: u64,
 }
 
 impl MzBinner {
     /// Uniform binning: `fine_bins` collapsed into `coarse_bins` contiguous
-    /// groups (the last group absorbs any remainder).
+    /// groups of `fine_bins / coarse_bins` (the last group absorbs any
+    /// remainder).
     ///
     /// # Panics
     /// Panics unless `1 ≤ coarse_bins ≤ fine_bins`.
     pub fn uniform(fine_bins: usize, coarse_bins: usize) -> Self {
         assert!(coarse_bins >= 1 && coarse_bins <= fine_bins, "bad binning");
-        let per = fine_bins / coarse_bins;
-        let map = (0..fine_bins)
-            .map(|f| ((f / per).min(coarse_bins - 1)) as u32)
-            .collect();
         Self {
             fine_bins,
             coarse_bins,
-            map,
-            cycles: 0,
-        }
-    }
-
-    /// Custom binning from an explicit fine→coarse map.
-    ///
-    /// # Panics
-    /// Panics if any entry is out of range.
-    pub fn from_map(map: Vec<u32>, coarse_bins: usize) -> Self {
-        assert!(
-            map.iter().all(|&c| (c as usize) < coarse_bins),
-            "map out of range"
-        );
-        Self {
-            fine_bins: map.len(),
-            coarse_bins,
-            map,
             cycles: 0,
         }
     }
@@ -78,38 +62,50 @@ impl MzBinner {
     /// `drift × coarse` words out (saturating u32 accumulation per line).
     pub fn bin_frame(&mut self, frame: &[u32], drift_bins: usize) -> Vec<u32> {
         let mut out = Vec::new();
-        self.bin_frame_into(frame.iter().copied(), drift_bins, &mut out);
+        self.bin_rows(frame.len(), drift_bins, &mut out, |r| {
+            frame[r].iter().copied()
+        });
         out
     }
 
-    /// Streaming form of [`bin_frame`](Self::bin_frame): folds a drift-major
-    /// word stream into a caller-owned scratch buffer (cleared and resized
-    /// in place), so the per-frame hot loop neither materialises the fine
-    /// frame nor allocates the coarse one. Mirrors the hardware, which sees
-    /// one ADC word per clock rather than a frame-sized slice.
-    pub fn bin_frame_into<I>(&mut self, words: I, drift_bins: usize, out: &mut Vec<u32>)
-    where
-        I: ExactSizeIterator<Item = u32>,
+    /// [`bin_frame`](Self::bin_frame) straight from a packet's
+    /// little-endian payload bytes into a caller-owned buffer (cleared and
+    /// refilled), so the per-frame hot loop neither decodes the fine frame
+    /// into a copy nor allocates the coarse one.
+    pub fn bin_payload_into(&mut self, payload: &[u8], drift_bins: usize, out: &mut Vec<u32>) {
+        let words = payload_words(payload).expect("frame shape mismatch");
+        self.bin_rows(words.len(), drift_bins, out, |r| {
+            words[r].iter().map(|&w| u32::from_le_bytes(w))
+        });
+    }
+
+    /// The one fold: `words(range)` reads fine words `range` of the
+    /// drift-major frame, one coarse group at a time.
+    fn bin_rows<I>(
+        &mut self,
+        n_words: usize,
+        drift_bins: usize,
+        out: &mut Vec<u32>,
+        words: impl Fn(Range<usize>) -> I,
+    ) where
+        I: Iterator<Item = u32>,
     {
-        assert_eq!(
-            words.len(),
-            drift_bins * self.fine_bins,
-            "frame shape mismatch"
-        );
+        let (fine, coarse) = (self.fine_bins, self.coarse_bins);
+        assert_eq!(n_words, drift_bins * fine, "frame shape mismatch");
+        let per = fine / coarse;
         out.clear();
-        out.resize(drift_bins * self.coarse_bins, 0);
-        let mut fine = 0usize; // position within the current drift row
-        let mut row_base = 0usize; // start of the current coarse row
-        for v in words {
-            let c = row_base + self.map[fine] as usize;
-            out[c] = out[c].saturating_add(v);
-            fine += 1;
-            if fine == self.fine_bins {
-                fine = 0;
-                row_base += self.coarse_bins;
+        out.reserve(drift_bins * coarse);
+        for row in (0..n_words).step_by(fine) {
+            let end = row + fine;
+            for g in 0..coarse {
+                let lo = row + g * per;
+                // The last group absorbs the remainder.
+                let hi = if g + 1 == coarse { end } else { lo + per };
+                let sum: u64 = words(lo..hi).map(u64::from).sum();
+                out.push(sum.min(u64::from(u32::MAX)) as u32);
             }
         }
-        self.cycles += (drift_bins * self.fine_bins) as u64;
+        self.cycles += n_words as u64;
     }
 
     /// BRAM budget: the index ROM plus a double-buffered coarse line buffer.
@@ -172,9 +168,16 @@ mod tests {
 
     #[test]
     fn remainder_fine_bins_fold_into_last_group() {
-        let binner = MzBinner::uniform(10, 3); // per = 3, remainder 1
-        assert_eq!(binner.map[8], 2);
-        assert_eq!(binner.map[9], 2); // remainder absorbed by last group
+        // Groups of 10 / 3 = 3, remainder 1. One bit per fine bin, so each
+        // coarse sum shows which bins it took.
+        let mut binner = MzBinner::uniform(10, 3);
+        let frame: Vec<u32> = (0..10).map(|f| 1 << f).collect();
+        let group = |fine: std::ops::Range<u32>| fine.map(|f| 1u32 << f).sum::<u32>();
+        // The last group absorbs the remainder bin 9.
+        assert_eq!(
+            binner.bin_frame(&frame, 1),
+            [group(0..3), group(3..6), group(6..10)]
+        );
     }
 
     #[test]

@@ -113,10 +113,7 @@ impl FramePacket {
     }
 
     fn pack(seq_no: u64, words: &[u32], checked: bool) -> Self {
-        let mut buf = Vec::with_capacity(words.len() * 4);
-        for w in words {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
+        let buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let checksum = checked.then(|| fnv1a64(&buf));
         Self {
             seq_no,
@@ -166,19 +163,12 @@ impl FramePacket {
 
     /// Unpacks the ADC words into a fresh `Vec`.
     ///
-    /// Allocates per call; streaming consumers should iterate [`words`]
-    /// instead (`FramePacket::words`), which borrows the payload.
+    /// Allocates per call; the frame engines read the payload in place
+    /// instead (`MzBinner::bin_payload_into`,
+    /// `ShardedAccumulator::capture_payload`).
     pub fn to_words(&self) -> Vec<u32> {
-        self.words().collect()
-    }
-
-    /// Borrowed view of the ADC words: decodes little-endian `u32`s
-    /// straight out of the shared payload buffer with no allocation — the
-    /// zero-copy read path for per-frame hot loops.
-    pub fn words(&self) -> Words<'_> {
-        Words {
-            chunks: self.payload.chunks_exact(4),
-        }
+        let (words, _) = self.payload.as_chunks::<4>();
+        words.iter().map(|&w| u32::from_le_bytes(w)).collect()
     }
 
     /// Number of ADC words in the payload.
@@ -192,27 +182,16 @@ impl FramePacket {
     }
 }
 
-/// Borrowed iterator over a packet's little-endian ADC words.
-#[derive(Debug, Clone)]
-pub struct Words<'a> {
-    chunks: std::slice::ChunksExact<'a, u8>,
-}
-
-impl Iterator for Words<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        self.chunks
-            .next()
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.chunks.size_hint()
+/// A payload's ADC words as little-endian 4-byte groups, or `None` when
+/// the bytes are not a whole number of words. The frame engines slice this
+/// by drift row and decode each row in place with `u32::from_le_bytes`, so
+/// they fold straight from the packet with no intermediate copy.
+pub(crate) fn payload_words(payload: &[u8]) -> Option<&[[u8; 4]]> {
+    match payload.as_chunks::<4>() {
+        (words, []) => Some(words),
+        _ => None,
     }
 }
-
-impl ExactSizeIterator for Words<'_> {}
 
 #[cfg(test)]
 mod tests {

@@ -71,5 +71,5 @@ pub use deconv_naive::{NaiveConfig, NaiveMacCore};
 pub use dma::DmaLink;
 pub use fixed::Fx;
 pub use report::{FpgaDevice, ResourceReport};
-pub use sharded::{merge_shard_parts, ShardedAccumulator};
+pub use sharded::ShardedAccumulator;
 pub use sparse::{SparseBlock, SPARSE_OCCUPANCY_THRESHOLD};

@@ -163,16 +163,11 @@ impl Args {
 
     /// `2s`, `500ms`, or bare seconds (`1.5`).
     fn duration(&mut self, name: &str) -> Option<std::time::Duration> {
-        self.parsed(name, "use e.g. 250ms, 2s or 1.5", |t| {
-            let t = t.trim();
-            let (number, scale) = match t.strip_suffix("ms") {
-                Some(ms) => (ms, 1e-3),
-                None => (t.strip_suffix('s').unwrap_or(t), 1.0),
-            };
-            let secs: f64 = number.trim().parse().ok()?;
-            (secs.is_finite() && secs >= 0.0)
-                .then(|| std::time::Duration::from_secs_f64(secs * scale))
-        })
+        self.parsed(
+            name,
+            "use e.g. 250ms, 2s or 1.5",
+            htims::core::fault::parse_duration,
+        )
     }
 
     /// A comma-separated list; every entry must parse as `T`.

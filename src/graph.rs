@@ -73,8 +73,9 @@ pub struct GraphSpec {
     /// Observability-only: not part of the config fingerprint.
     pub profile_dir: Option<String>,
     /// m/z-range shards the accumulate stage splits its RAM into (0 and 1
-    /// both mean the monolithic fast path). Merged output is bit-identical
-    /// for every count, so this is not part of the config fingerprint.
+    /// both mean one shard, cycle-identical to the monolithic core). Output
+    /// is bit-identical for every count, so this is not part of the config
+    /// fingerprint.
     #[serde(default)]
     pub shards: usize,
     /// Directory for the frame capture log: every sourced frame is

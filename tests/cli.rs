@@ -55,6 +55,17 @@ fn a_command_line_it_cannot_honour_exits_2_and_writes_nothing() {
     assert_refused("shard", &["pipeline", "--shard", "4"], "--shard");
     assert_refused("out", &["pipeline", "--out", "--sparse"], "--sparse");
     assert_refused("foo", &["foo"], "foo");
+    // Durations too large for a `Duration` are bad values, not panics.
+    assert_refused(
+        "stall",
+        &["pipeline", "--faults", "source.stall=1e30"],
+        "--faults",
+    );
+    assert_refused(
+        "timeout",
+        &["pipeline", "--stall-timeout", "1e30s"],
+        "--stall-timeout",
+    );
 }
 
 #[test]
@@ -140,5 +151,32 @@ fn a_captured_run_replays_with_the_ledger_off() {
     assert_eq!(replay.status.code(), Some(0), "{stderr}");
     assert!(stderr.contains("replay OK"), "{stderr}");
     assert_eq!(files_in(&dir), ["cap"], "the ledger stayed off");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn a_manifest_whose_fault_spec_does_not_parse_is_refused_not_a_panic() {
+    let dir = scratch("bad-manifest");
+    let capture = htims(
+        &dir,
+        &[
+            "pipeline",
+            "--capture-log",
+            "cap",
+            "--frames",
+            "4",
+            "--no-ledger",
+        ],
+    );
+    assert!(capture.status.success());
+    let manifest = dir.join("cap/manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    assert!(text.contains("\"faults\": null"), "{text}");
+    let text = text.replace("\"faults\": null", "\"faults\": \"source.stall=1e30\"");
+    std::fs::write(&manifest, text).expect("rewrite manifest");
+    let replay = htims(&dir, &["pipeline", "--replay", "cap", "--no-ledger"]);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad fault spec in manifest"), "{stderr}");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -1,0 +1,116 @@
+//! Golden outputs: the output fingerprint and the FPGA-model counts of four
+//! fixed graphs, pinned as constants.
+//!
+//! Every other bit-exact test compares two paths of the program with each
+//! other (stage vs software reference, sharded vs monolithic, inline vs
+//! threaded). A change that moves both sides the same way passes them all;
+//! these constants do not move with the code. They were recorded before the
+//! frame stages were rewritten to read straight from the packet payload, and
+//! must not change with a refactor of the frame path.
+
+use htims::chaos::output_fingerprint;
+use htims::graph::GraphSpec;
+
+/// What one run must reproduce exactly.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    output_fnv: u64,
+    capture_cycles: u64,
+    binner_cycles: u64,
+    deconv_cycles: u64,
+    saturation_events: u64,
+    shards_lost: u64,
+    lost_mz_ranges: Vec<(usize, usize)>,
+}
+
+fn run(spec: &GraphSpec) -> Golden {
+    let out = spec.run().expect("golden spec runs");
+    let r = &out.report;
+    Golden {
+        output_fnv: output_fingerprint(&out),
+        capture_cycles: r.capture_cycles,
+        binner_cycles: r.binner_cycles,
+        deconv_cycles: r.deconv_cycles,
+        saturation_events: r.saturation_events,
+        shards_lost: r.shards_lost,
+        lost_mz_ranges: r.lost_mz_ranges.clone(),
+    }
+}
+
+#[test]
+fn frame_path_outputs_and_cycle_counts_are_pinned() {
+    let cases = [
+        (
+            "small",
+            GraphSpec::small(),
+            Golden {
+                output_fnv: 1789432423746869102,
+                capture_cycles: 121088,
+                binner_cycles: 0,
+                deconv_cycles: 5220,
+                saturation_events: 0,
+                shards_lost: 0,
+                lost_mz_ranges: vec![],
+            },
+        ),
+        (
+            // 60 fine bins into 7 coarse ones: the last group absorbs the
+            // remainder.
+            "binned 60->7, 3 shards",
+            GraphSpec {
+                coarse: Some(7),
+                shards: 3,
+                ..GraphSpec::small()
+            },
+            Golden {
+                output_fnv: 11799156082386698083,
+                capture_cycles: 14496,
+                binner_cycles: 120960,
+                deconv_cycles: 696,
+                saturation_events: 0,
+                shards_lost: 0,
+                lost_mz_ranges: vec![],
+            },
+        ),
+        (
+            "4 shards, sparse, software",
+            GraphSpec {
+                shards: 4,
+                sparse: true,
+                backend: "software".into(),
+                ..GraphSpec::small()
+            },
+            Golden {
+                output_fnv: 1789432423746869102,
+                capture_cycles: 121472,
+                binner_cycles: 0,
+                deconv_cycles: 5220,
+                saturation_events: 0,
+                shards_lost: 0,
+                lost_mz_ranges: vec![],
+            },
+        ),
+        (
+            // Degraded and deterministic: no capture log, so killed shards
+            // stay lost and their ranges drain zeroed.
+            "4 shards, shard.kill=0.5",
+            GraphSpec {
+                shards: 4,
+                faults: Some("shard.kill=0.5".into()),
+                ..GraphSpec::small()
+            },
+            Golden {
+                output_fnv: 2190452988658057290,
+                capture_cycles: 91104,
+                binner_cycles: 0,
+                deconv_cycles: 5220,
+                saturation_events: 0,
+                shards_lost: 4,
+                lost_mz_ranges: vec![(45, 60), (0, 15), (15, 30), (45, 60)],
+            },
+        ),
+    ];
+    for (name, spec, want) in cases {
+        assert_eq!(run(&spec), want, "{name}");
+    }
+}
