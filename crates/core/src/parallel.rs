@@ -266,7 +266,7 @@ mod tests {
         let cost = PanelCost {
             name: "software-fwht",
             hist: ims_obs::static_histogram!("deconv.panel_ns.software-fwht"),
-            prior_ns_per_cell: 17.0,
+            prior_ns_per_cell: 3.4,
         };
         for width in [1usize, 7, FIXED_POINT_PANEL_WIDTH, mz] {
             let pool = Scheduler::new(3);

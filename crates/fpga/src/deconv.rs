@@ -3,8 +3,9 @@
 //! Implements the fast m-sequence (Hadamard) inverse on the integer
 //! datapath: scatter through the LFSR-state address ROM, an in-place
 //! integer Walsh–Hadamard butterfly, gather through the mask address ROM,
-//! and a final fixed-point scale by `−2/(N+1)`. All arithmetic is exact
-//! integer until the single rounding in the output scaler, so results are
+//! and a final fixed-point scale by `−2/(N+1)`: a shift, since an
+//! m-sequence has `N + 1 = 2^k`, and exact whenever `f + 1 ≥ k` for `f`
+//! output fractional bits. All arithmetic is exact integer, so results are
 //! bit-deterministic — the property that lets the hybrid pipeline verify
 //! the FPGA component against the software component exactly.
 
@@ -53,6 +54,8 @@ impl Default for DeconvConfig {
 pub struct DeconvCore {
     transform: FastMTransform,
     config: DeconvConfig,
+    /// The output scaler's shift `f + 1 − k`.
+    scale_shift: i32,
     cycles: u64,
 }
 
@@ -62,8 +65,12 @@ impl DeconvCore {
         assert!(config.parallel_columns >= 1);
         assert!(config.butterflies_per_column >= 1);
         assert!((4..=30).contains(&config.output_frac_bits));
+        let transform = FastMTransform::new(seq);
+        let m = transform.buffer_len();
+        assert!(m.is_power_of_two(), "N + 1 = {m} is not a power of two");
         Self {
-            transform: FastMTransform::new(seq),
+            scale_shift: config.output_frac_bits as i32 + 1 - m.trailing_zeros() as i32,
+            transform,
             config,
             cycles: 0,
         }
@@ -96,8 +103,8 @@ impl DeconvCore {
     /// 1. scatter `y[k] → buf[states[k]]` (address ROM);
     /// 2. integer FWHT over `M = N+1` entries (adds/subs only, bit growth
     ///    `log2 M`);
-    /// 3. gather `c[j] = buf[masks[j]]` (address ROM);
-    /// 4. scale: `x̂ = −2·c/(N+1)` evaluated as a rounded `i128` product.
+    /// 3. gather `c[j] = buf[masks[σ(j)]]` (address ROM);
+    /// 4. scale: `x̂ = −2·c/(N+1)`, a shift since `N + 1 = 2^k`.
     pub fn deconvolve_column(&self, y: &[u64]) -> Vec<i64> {
         let n = self.len();
         assert_eq!(y.len(), n, "column length mismatch");
@@ -119,30 +126,21 @@ impl DeconvCore {
             }
             h *= 2;
         }
-        // Gather + scale. x̂[j] = −2·c[σ(j)]/(N+1), with σ the identity for
-        // correlation data and the index reversal for convolution data.
-        let f = self.config.output_frac_bits;
-        let masks = self.transform.gather_addresses();
-        let scale_num = -(2i128 << f);
-        let denom = (n + 1) as i128;
-        (0..n)
-            .map(|j| {
-                let lag = match self.config.convention {
-                    Convention::Correlation => j,
-                    Convention::Convolution => (n - j) % n,
-                };
-                let c = buf[masks[lag] as usize] as i128;
-                let wide = scale_num * c;
-                // Round to nearest, ties away from zero.
-                let half = denom / 2;
-                let rounded = if wide >= 0 {
-                    (wide + half) / denom
-                } else {
-                    (wide - half) / denom
-                };
-                rounded as i64
-            })
-            .collect()
+        // Gather, then scale into the working RAM, now the output.
+        let table = self.gather_table();
+        let c: Vec<i64> = table.iter().map(|&a| buf[a as usize]).collect();
+        buf.truncate(n);
+        scale_row(self.scale_shift, &c, &mut buf);
+        buf
+    }
+
+    /// The gather ROM of the configured convention: `σ` is the identity
+    /// for correlation data, the reversal `(N − j) mod N` for convolution.
+    fn gather_table(&self) -> &[u32] {
+        match self.config.convention {
+            Convention::Correlation => self.transform.gather_addresses(),
+            Convention::Convolution => self.transform.convolution_gather_addresses(),
+        }
     }
 
     /// Deconvolves a panel of `width` adjacent m/z columns at once.
@@ -198,30 +196,10 @@ impl DeconvCore {
             }
             h *= 2;
         }
-        // Gather + scale per row.
-        let f = self.config.output_frac_bits;
-        let masks = self.transform.gather_addresses();
-        let scale_num = -(2i128 << f);
-        let denom = (n + 1) as i128;
-        let half = denom / 2;
-        for j in 0..n {
-            let lag = match self.config.convention {
-                Convention::Correlation => j,
-                Convention::Convolution => (n - j) % n,
-            };
-            let src = masks[lag] as usize;
-            for (o, &c) in out[j * width..(j + 1) * width]
-                .iter_mut()
-                .zip(work[src * width..(src + 1) * width].iter())
-            {
-                let wide = scale_num * c as i128;
-                let rounded = if wide >= 0 {
-                    (wide + half) / denom
-                } else {
-                    (wide - half) / denom
-                };
-                *o = rounded as i64;
-            }
+        // Gather + scale, row by row.
+        for (row, &src) in out.chunks_exact_mut(width).zip(self.gather_table()) {
+            let src = src as usize * width;
+            scale_row(self.scale_shift, &work[src..src + width], row);
         }
     }
 
@@ -380,6 +358,27 @@ impl DeconvCore {
     }
 }
 
+/// The output scaler over one row of gathered FWHT words `c`: `x̂ =
+/// −2·c/(N+1)` at `f` fractional bits, which for `N + 1 = 2^k` is a shift
+/// by `shift = f + 1 − k`. A non-negative shift is exact, `−c·2^shift`
+/// wrapped to 64 bits; a negative one rounds half away from zero. The sign
+/// is tested once per row so the exact loop vectorizes.
+fn scale_row(shift: i32, c: &[i64], out: &mut [i64]) {
+    if let Ok(s) = u32::try_from(shift) {
+        for (o, &c) in out.iter_mut().zip(c) {
+            *o = c.wrapping_neg() << s;
+        }
+    } else {
+        let r = shift.unsigned_abs();
+        let half = 1i128 << (r - 1);
+        for (o, &c) in out.iter_mut().zip(c) {
+            let v = -i128::from(c);
+            let mag = (v.abs() + half) >> r;
+            *o = (if v < 0 { -mag } else { mag }) as i64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +387,42 @@ mod tests {
 
     fn counts(n: usize) -> Vec<u64> {
         (0..n).map(|k| ((k * 13 + 5) % 97) as u64).collect()
+    }
+
+    /// The scaler's oracle: the `i128` multiply–divide by `N + 1 = 2^k`
+    /// the core evaluated per word before the scale became a shift.
+    fn scale_by_division(c: i64, f: u32, k: u32) -> i64 {
+        let wide = -(2i128 << f) * c as i128;
+        let denom = 1i128 << k;
+        let half = denom / 2;
+        let rounded = if wide >= 0 {
+            (wide + half) / denom
+        } else {
+            (wide - half) / denom
+        };
+        rounded as i64
+    }
+
+    #[test]
+    fn scaler_matches_the_i128_division_at_every_shift() {
+        for k in 2u32..=20 {
+            for f in 4u32..=30 {
+                let shift = f as i32 + 1 - k as i32;
+                // A rounding shift `r = k − f − 1` ties at `±2^(r−1)`; the
+                // exact shifts wrap at the ends of the range.
+                let r = shift.unsigned_abs().max(1);
+                let tie = 1i64 << (r - 1);
+                let mut words = vec![0, i64::MIN, i64::MAX, i64::MIN + 1];
+                for w in [1, 2, tie - 1, tie, tie + 1, 3 * tie, 1 << 40, (1 << 62) + 1] {
+                    words.extend([w, -w]);
+                }
+                let mut out = vec![0; words.len()];
+                scale_row(shift, &words, &mut out);
+                for (&c, &got) in words.iter().zip(&out) {
+                    assert_eq!(got, scale_by_division(c, f, k), "k {k} f {f} word {c}");
+                }
+            }
+        }
     }
 
     #[test]

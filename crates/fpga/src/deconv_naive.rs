@@ -165,37 +165,65 @@ mod tests {
     use super::*;
     use crate::deconv::{DeconvConfig, DeconvCore};
 
-    fn counts(n: usize, seed: u64) -> Vec<u64> {
-        (0..n)
-            .map(|k| (k as u64).wrapping_mul(seed + 11) % 4000)
+    /// A column spanning the accumulator's range: single-digit, 16-bit and
+    /// full 32-bit counts, up to `u32::MAX`.
+    fn oracle_column(n: usize) -> Vec<u64> {
+        (0..n as u64)
+            .map(|k| match k % 4 {
+                0 => k % 7,
+                1 => k * 131 % 65_536,
+                2 => k * 2_654_435_761 % (1 << 32),
+                _ => u64::from(u32::MAX) - k % 5,
+            })
             .collect()
     }
 
     #[test]
     fn naive_equals_fwht_core_bit_for_bit() {
-        for degree in [4u32, 6, 8, 9] {
+        // Output scales both exact (`f + 1 ≥ k`) and rounded (`f + 1 < k`,
+        // e.g. f = 4 at degree 9), on both conventions; the FWHT core runs
+        // its column path and its panel path, one column wide and at a
+        // ragged width that leaves a tail on every SIMD backend.
+        for degree in [2u32, 3, 5, 9, 12] {
+            let seq = MSequence::new(degree);
+            let n = seq.len();
+            let y = oracle_column(n);
             for convention in [Convention::Correlation, Convention::Convolution] {
-                let seq = MSequence::new(degree);
-                let naive = NaiveMacCore::new(
-                    &seq,
-                    NaiveConfig {
-                        convention,
-                        ..Default::default()
-                    },
-                );
-                let fwht = DeconvCore::new(
-                    &seq,
-                    DeconvConfig {
-                        convention,
-                        ..Default::default()
-                    },
-                );
-                let y = counts(seq.len(), degree as u64);
-                assert_eq!(
-                    naive.deconvolve_column(&y),
-                    fwht.deconvolve_column(&y),
-                    "degree {degree} {convention:?}"
-                );
+                for output_frac_bits in [4u32, 5, 8, 16, 30] {
+                    let naive = NaiveMacCore::new(
+                        &seq,
+                        NaiveConfig {
+                            convention,
+                            output_frac_bits,
+                            ..Default::default()
+                        },
+                    );
+                    let fwht = DeconvCore::new(
+                        &seq,
+                        DeconvConfig {
+                            convention,
+                            output_frac_bits,
+                            ..Default::default()
+                        },
+                    );
+                    let case = format!("degree {degree} {convention:?} f {output_frac_bits}");
+                    let want = naive.deconvolve_column(&y);
+                    assert_eq!(fwht.deconvolve_column(&y), want, "{case} column");
+                    for width in [1usize, 11] {
+                        let panel: Vec<u64> = y
+                            .iter()
+                            .flat_map(|&v| std::iter::repeat_n(v, width))
+                            .collect();
+                        let mut out = vec![0i64; n * width];
+                        fwht.deconvolve_panel_into(&panel, width, &mut out, &mut Vec::new());
+                        for (d, row) in out.chunks_exact(width).enumerate() {
+                            assert!(
+                                row.iter().all(|&got| got == want[d]),
+                                "{case} width {width} drift {d}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -1249,8 +1249,11 @@ fn chaos(mut args: Args) {
 ///   block.
 ///
 /// All engines produce bit-identical output; only the schedule of the
-/// arithmetic differs. `speedup_vs_scalar` is relative to the same method's
-/// scalar-column row (sparse rows: the sparse block's own scalar row).
+/// arithmetic differs. Outside the timed region each fixed-point row's
+/// output is compared word for word with its scalar-column row, and a
+/// mismatch exits 1 naming the engine. `speedup_vs_scalar` is relative to
+/// the same method's scalar-column row (sparse rows: the sparse block's own
+/// scalar row).
 fn bench(args: Args) {
     let mut argv = args.argv.into_iter();
     let target = argv.next();
@@ -1382,8 +1385,9 @@ fn bench_deconv(mut args: Args) {
         scalar_secs,
         scalar_secs,
     );
+    let reference = core.deconvolve_columnwise(&block, mz_bins);
     for &width in widths {
-        let secs = best_secs(repeats, || {
+        let batched = || {
             let mut out = vec![0i64; n * mz_bins];
             let mut work = Vec::new();
             PanelWalker::default().walk(
@@ -1397,9 +1401,13 @@ fn bench_deconv(mut args: Args) {
                     solved
                 },
             );
-            std::hint::black_box(out);
+            out
+        };
+        let secs = best_secs(repeats, || {
+            std::hint::black_box(batched());
         });
         record("fixed-point", "batched", 1, width, secs, scalar_secs);
+        check_same_words(&format!("batched w{width}"), &reference, &batched());
     }
     // Threaded rows for the integer path too: the pipeline's software
     // backend (the shared slab fan-out), bit-identical to the scalar loop
@@ -1418,6 +1426,11 @@ fn bench_deconv(mut args: Args) {
             fp_width,
             secs,
             scalar_secs,
+        );
+        check_same_words(
+            &format!("batched-parallel t{t}"),
+            &reference,
+            &htims::core::pipeline::software_deconvolve_block(&core, &block, mz_bins, t),
         );
     }
 
@@ -1507,6 +1520,11 @@ fn bench_deconv(mut args: Args) {
             std::hint::black_box(sparse_core.deconvolve_block_sparse(&csr));
         });
         record("fixed-point", "sparse-skip", 1, fp_width, secs, scalar_secs);
+        check_same_words(
+            "sparse-skip",
+            &core.deconvolve_columnwise(&sparse_block, mz_bins),
+            &sparse_core.deconvolve_block_sparse(&csr),
+        );
     }
 
     // Schema v3: `provenance` (with the dispatched SIMD backend and the
@@ -1553,6 +1571,21 @@ fn bench_deconv(mut args: Args) {
         .filter_map(|r| r.field("mcells_per_second").as_f64())
         .fold(0.0, f64::max);
     append_ledger(ledger.as_deref(), &rec);
+}
+
+/// Exits 1 naming the fixed-point `engine` unless its block equals the
+/// scalar column path's `reference` word for word.
+fn check_same_words(engine: &str, reference: &[i64], got: &[i64]) {
+    let words = reference.len().max(got.len());
+    if let Some(i) = (0..words).find(|&i| reference.get(i) != got.get(i)) {
+        eprintln!(
+            "bench deconv: fixed-point {engine} differs from the scalar column path \
+             at word {i} ({:?} vs {:?})",
+            got.get(i),
+            reference.get(i)
+        );
+        std::process::exit(1);
+    }
 }
 
 /// `htims bench compare <baseline.json> <candidate.json>`: the perf

@@ -1,12 +1,13 @@
-//! Golden outputs: the output fingerprint and the FPGA-model counts of four
+//! Golden outputs: the output fingerprint and the FPGA-model counts of six
 //! fixed graphs, pinned as constants.
 //!
 //! Every other bit-exact test compares two paths of the program with each
 //! other (stage vs software reference, sharded vs monolithic, inline vs
 //! threaded). A change that moves both sides the same way passes them all;
-//! these constants do not move with the code. They were recorded before the
-//! frame stages were rewritten to read straight from the packet payload, and
-//! must not change with a refactor of the frame path.
+//! these constants do not move with the code. The degree-6 ones were
+//! recorded before the frame stages were rewritten to read straight from the
+//! packet payload, the degree-9 ones before the fixed-point output scaler
+//! became a shift; neither refactor may change them.
 
 use htims::chaos::output_fingerprint;
 use htims::graph::GraphSpec;
@@ -107,6 +108,55 @@ fn frame_path_outputs_and_cycle_counts_are_pinned() {
                 saturation_events: 0,
                 shards_lost: 4,
                 lost_mz_ranges: vec![(45, 60), (0, 15), (15, 30), (45, 60)],
+            },
+        ),
+    ];
+    for (name, spec, want) in cases {
+        assert_eq!(run(&spec), want, "{name}");
+    }
+}
+
+/// The drift length every production workload runs (511 bins, so the
+/// fixed-point scaler divides by `N + 1 = 2^9`) on both integer
+/// deconvolution backends: the software slab fan-out and the FPGA model.
+#[test]
+fn degree_nine_outputs_and_cycle_counts_are_pinned() {
+    let cases = [
+        (
+            "quick e3: software, 511 x 1000",
+            GraphSpec {
+                frames: 2,
+                blocks: 2,
+                ..GraphSpec::e3()
+            },
+            Golden {
+                output_fnv: 4532560311919787649,
+                capture_cycles: 2044016,
+                binner_cycles: 0,
+                deconv_cycles: 799000,
+                saturation_events: 0,
+                shards_lost: 0,
+                lost_mz_ranges: vec![],
+            },
+        ),
+        (
+            "xd1: 2000 -> 100 binned on fpga",
+            GraphSpec {
+                degree: 9,
+                mz: 2000,
+                coarse: Some(100),
+                frames: 2,
+                blocks: 2,
+                ..GraphSpec::small()
+            },
+            Golden {
+                output_fnv: 8505286067027107253,
+                capture_cycles: 204416,
+                binner_cycles: 4088000,
+                deconv_cycles: 79900,
+                saturation_events: 0,
+                shards_lost: 0,
+                lost_mz_ranges: vec![],
             },
         ),
     ];
