@@ -55,7 +55,7 @@ fn bench_block(c: &mut Criterion) {
         .collect();
     group.bench_function("fpga_model_integer_path", |b| {
         b.iter(|| {
-            let mut core = DeconvCore::new(&seq, DeconvConfig::default());
+            let core = DeconvCore::new(&seq, DeconvConfig::default());
             black_box(core.deconvolve_block(&block, mz_bins))
         })
     });

@@ -30,9 +30,10 @@
 //! it is wall-clock metadata excluded from the payload checksum, and
 //! replay re-stamps it so end-to-end latency histograms stay meaningful.
 //! Segments rotate at a byte threshold and are fsync'd on rotation and on
-//! [`CaptureLog::finish`]. Opening for read validates every record's FNV
-//! and *physically truncates* a corrupt tail (the torn write of a crashed
-//! producer), keeping every intact prefix record.
+//! [`CaptureLog::finish`]. Reading never writes. One rule covers a corrupt
+//! tail (the torn write of a crashed producer): the log ends at the first
+//! record that fails its FNV, and every later segment is ignored, so every
+//! intact prefix record survives and nothing after the tear is read.
 
 use ims_fpga::dma::{fnv1a64, FramePacket};
 use std::fs::{File, OpenOptions};
@@ -65,8 +66,8 @@ enum Mode {
         written: u64,
         segment_bytes: u64,
     },
-    /// Replay handle: `append` is a no-op, reads come from disk.
-    ReadOnly,
+    /// Replay handle: `append` is a no-op; holds the records read at open.
+    ReadOnly(Vec<FramePacket>),
 }
 
 #[derive(Debug)]
@@ -91,7 +92,7 @@ impl CaptureLog {
     }
 
     /// [`create`](Self::create) with an explicit rotation threshold —
-    /// tests use small segments to exercise rotation and tail truncation.
+    /// tests use small segments to exercise rotation and torn tails.
     pub fn create_with_segment_bytes(dir: &Path, segment_bytes: u64) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         for entry in std::fs::read_dir(dir)? {
@@ -114,34 +115,21 @@ impl CaptureLog {
         })
     }
 
-    /// Opens an existing log read-only, validating every segment in
-    /// order. A record whose FNV trailer does not match — a torn tail
-    /// from a crashed producer — is handled by *physically truncating*
-    /// that segment at the last intact record and ignoring any later
-    /// segments; every validated prefix record survives.
+    /// Opens an existing log read-only and reads it once, up to the first
+    /// record that fails its FNV (see the module docs). A missing log, a
+    /// bad segment header or an unreadable file is an error; a torn tail
+    /// is not. Nothing on disk is modified.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
-        let mut index = 0u64;
-        loop {
-            let path = segment_path(dir, index);
-            if !path.exists() {
-                if index == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::NotFound,
-                        format!("no capture segments in {}", dir.display()),
-                    ));
-                }
-                break;
-            }
-            let truncated = validate_segment(&path)?;
-            if truncated {
-                break; // later segments postdate the torn write
-            }
-            index += 1;
+        if !segment_path(dir, 0).exists() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no capture segments in {}", dir.display()),
+            ));
         }
         Ok(Self {
             inner: Arc::new(Mutex::new(Inner {
                 dir: dir.to_path_buf(),
-                mode: Mode::ReadOnly,
+                mode: Mode::ReadOnly(read_log(dir)?),
             })),
         })
     }
@@ -153,8 +141,7 @@ impl CaptureLog {
 
     /// Appends one packet (no-op on a read-only handle). Rotation flushes
     /// and fsyncs the finished segment, so at most the live segment's
-    /// tail is at risk from a crash — exactly what truncation-on-open
-    /// repairs.
+    /// tail is at risk from a crash — exactly where a reader stops.
     pub fn append(&self, packet: &FramePacket) -> std::io::Result<()> {
         let mut inner = self.inner.lock().unwrap();
         let dir = inner.dir.clone();
@@ -193,28 +180,21 @@ impl CaptureLog {
         Ok(())
     }
 
-    /// Reads every logged packet, in append order. Works on both handle
-    /// modes (a writable handle flushes first, so a mid-run rebuild sees
-    /// everything appended so far). `origin_ns` is re-stamped at read
-    /// time — it is not logged (see the module docs).
+    /// Every logged packet, in append order, up to the first record that
+    /// fails its FNV (see the module docs). A writable handle flushes and
+    /// reads the disk, so a mid-run rebuild sees everything appended so
+    /// far; a read-only handle returns what [`open`](Self::open) read.
+    /// `origin_ns` is stamped when a record is read from disk — it is not
+    /// logged (see the module docs).
     pub fn read_all(&self) -> std::io::Result<Vec<FramePacket>> {
         let mut inner = self.inner.lock().unwrap();
-        if let Mode::Append { writer, .. } = &mut inner.mode {
-            writer.flush()?;
+        match &mut inner.mode {
+            Mode::Append { writer, .. } => writer.flush()?,
+            Mode::ReadOnly(packets) => return Ok(packets.clone()),
         }
         let dir = inner.dir.clone();
         drop(inner);
-        let mut out = Vec::new();
-        let mut index = 0u64;
-        loop {
-            let path = segment_path(&dir, index);
-            if !path.exists() {
-                break;
-            }
-            read_segment(&path, &mut out)?;
-            index += 1;
-        }
-        Ok(out)
+        read_log(&dir)
     }
 
     /// Reads exactly the packets with the given seq-nos, erroring if any
@@ -323,48 +303,32 @@ fn read_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Validates `path`, truncating a torn tail in place. Returns `true` when
-/// truncation happened (later segments must be ignored).
-fn validate_segment(path: &Path) -> std::io::Result<bool> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    read_header(&bytes, path)?;
-    let mut at = HEADER_LEN as usize;
-    while at < bytes.len() {
-        match decode_record(&bytes, at) {
-            Some((_, next)) => at = next,
-            None => {
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(at as u64)?;
-                file.sync_all()?;
-                ims_obs::static_counter!("capture.tail_truncations").incr();
-                return Ok(true);
-            }
+/// The one reader of a log directory: the records of segments 0, 1, …
+/// in order, stopping at the first record that fails its FNV (a torn or
+/// corrupt record, counted in `capture.torn_reads`) and ignoring every
+/// later segment, since they postdate the tear. It only reads.
+fn read_log(dir: &Path) -> std::io::Result<Vec<FramePacket>> {
+    let mut out = Vec::new();
+    let mut index = 0u64;
+    loop {
+        let path = segment_path(dir, index);
+        if !path.exists() {
+            return Ok(out);
         }
-    }
-    Ok(false)
-}
-
-fn read_segment(path: &Path, out: &mut Vec<FramePacket>) -> std::io::Result<()> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    read_header(&bytes, path)?;
-    let mut at = HEADER_LEN as usize;
-    while at < bytes.len() {
-        match decode_record(&bytes, at) {
-            Some((packet, next)) => {
-                out.push(packet);
-                at = next;
-            }
-            None => {
-                // A torn tail on a handle that skipped open()'s
-                // validation (the mid-run rebuild path reads its own
-                // live segment): stop at the last intact record.
-                break;
-            }
+        let mut bytes = Vec::new();
+        File::open(&path)?.read_to_end(&mut bytes)?;
+        read_header(&bytes, &path)?;
+        let mut at = HEADER_LEN as usize;
+        while at < bytes.len() {
+            let Some((packet, next)) = decode_record(&bytes, at) else {
+                ims_obs::static_counter!("capture.torn_reads").incr();
+                return Ok(out);
+            };
+            out.push(packet);
+            at = next;
         }
+        index += 1;
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -440,8 +404,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The bytes of every segment in `dir`, in segment order.
+    fn segment_bytes(dir: &Path) -> Vec<Vec<u8>> {
+        (0..)
+            .map(|i| segment_path(dir, i))
+            .take_while(|p| p.exists())
+            .map(|p| std::fs::read(p).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn corrupt_tail_is_truncated_on_open_keeping_prefix() {
+    fn torn_tail_keeps_the_prefix_and_leaves_the_log_untouched() {
         let dir = temp_dir("tail");
         let log = CaptureLog::create(&dir).unwrap();
         for i in 0..5 {
@@ -457,15 +430,43 @@ mod tests {
             .unwrap()
             .set_len(len - 7)
             .unwrap();
+        let before = segment_bytes(&dir);
 
         let reader = CaptureLog::open(&dir).unwrap();
         let back = reader.read_all().unwrap();
         assert_eq!(back.len(), 4, "intact prefix records survive");
         assert!(back.iter().all(|p| p.verify()));
-        // Truncation was physical: re-opening finds a clean log.
-        assert!(std::fs::metadata(&seg).unwrap().len() < len - 7);
+        // Opening and reading wrote nothing: re-opening finds the same
+        // torn log and reads the same prefix.
+        assert_eq!(segment_bytes(&dir), before);
         let again = CaptureLog::open(&dir).unwrap();
         assert_eq!(again.read_all().unwrap().len(), 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_record_ends_the_log_and_later_segments_are_ignored() {
+        let dir = temp_dir("midlog");
+        // Tiny segments: two records each.
+        let log = CaptureLog::create_with_segment_bytes(&dir, 200).unwrap();
+        for i in 0..12 {
+            log.append(&packet(i, false)).unwrap();
+        }
+        log.finish().unwrap();
+        let segments = segment_bytes(&dir);
+        assert!(segments.len() > 2, "small segment limit must rotate");
+        // Flip one payload byte of the last record in segment 0.
+        let seg = segment_path(&dir, 0);
+        let mut bytes = segments[0].clone();
+        let n = bytes.len();
+        bytes[n - 12] ^= 0xFF;
+        std::fs::write(&seg, &bytes).unwrap();
+        let before = segment_bytes(&dir);
+
+        let back = CaptureLog::open(&dir).unwrap().read_all().unwrap();
+        let seqs: Vec<u64> = back.iter().map(|p| p.seq_no).collect();
+        assert_eq!(seqs, [0], "the log ends at the corrupt record");
+        assert_eq!(segment_bytes(&dir), before, "reading wrote nothing");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

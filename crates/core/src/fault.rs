@@ -165,8 +165,8 @@ impl std::fmt::Display for FaultSpec {
         }
         if let Some(s) = self.source_stall {
             parts.push(format!(
-                "source.stall={}ms@{}",
-                s.duration.as_millis(),
+                "source.stall={}@{}",
+                render_duration(s.duration),
                 s.rate
             ));
         }
@@ -174,6 +174,22 @@ impl std::fmt::Display for FaultSpec {
             parts.push(format!("shard.kill={}", self.shard_kill));
         }
         write!(f, "{}", parts.join(","))
+    }
+}
+
+/// Renders a duration exactly, in seconds as [`parse_duration`] reads
+/// them: `2.5ms` is `0.0025s`. Parsing the rendering gives the duration
+/// back, because `Duration::try_from_secs_f64` rounds to the nearest
+/// nanosecond and the `f64` nearest the decimal lies within half a
+/// nanosecond of it: always for a duration parsed from an `f64`, and for
+/// any whole number of nanoseconds below 2^23 s (97 days).
+fn render_duration(d: Duration) -> String {
+    match d.subsec_nanos() {
+        0 => format!("{}s", d.as_secs()),
+        nanos => {
+            let digits = format!("{nanos:09}");
+            format!("{}.{}s", d.as_secs(), digits.trim_end_matches('0'))
+        }
     }
 }
 

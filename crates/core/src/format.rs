@@ -23,6 +23,16 @@ use serde::{Deserialize, Serialize};
 const MAGIC: u32 = 0x4854_494D;
 /// Format version.
 const VERSION: u16 = 1;
+/// Header length, bytes.
+const HEADER_LEN: usize = 48;
+
+/// Largest map a sparse container may declare, in cells: 2^24, 128 MiB
+/// decoded, 32× the 511 × 1000 E3 block. A dense payload carries four bytes
+/// per cell, so its header is checked against the payload length; a
+/// sparse one can declare any number of zero cells in a few bytes, so its
+/// header is checked against this limit instead, before the map is
+/// allocated.
+pub const MAX_SPARSE_CELLS: usize = 1 << 24;
 
 /// A stored acquisition block: the 2-D map plus the metadata needed to
 /// interpret it.
@@ -80,8 +90,10 @@ impl StoredBlock {
         buf.put_u32_le(self.map.mz_bins() as u32);
     }
 
+    /// Reads the header and checks the map it declares against the payload
+    /// that follows (see [`MAX_SPARSE_CELLS`]) before allocating the map.
     fn read_header(buf: &mut Bytes) -> Result<(u16, Self), FormatError> {
-        if buf.remaining() < 48 {
+        if buf.remaining() < HEADER_LEN {
             return Err(FormatError::Corrupt("short header"));
         }
         if buf.get_u32_le() != MAGIC {
@@ -97,6 +109,22 @@ impl StoredBlock {
         let mz_max = buf.get_f64_le();
         let drift_bins = buf.get_u32_le() as usize;
         let mz_bins = buf.get_u32_le() as usize;
+        let cells = drift_bins
+            .checked_mul(mz_bins)
+            .ok_or(FormatError::Corrupt("map size overflows"))?;
+        match kind {
+            0 if cells.checked_mul(4) != Some(buf.remaining()) => {
+                return Err(FormatError::Corrupt(
+                    "dense payload is not 4 bytes per cell",
+                ));
+            }
+            // Every sparse row ends in a 4-byte sentinel.
+            1 if cells > MAX_SPARSE_CELLS || drift_bins > buf.remaining() / 4 => {
+                return Err(FormatError::Corrupt("sparse map too large for its payload"));
+            }
+            0 | 1 => {}
+            _ => return Err(FormatError::Corrupt("unknown kind")),
+        }
         Ok((
             kind,
             Self {
@@ -111,7 +139,7 @@ impl StoredBlock {
 
     /// Dense binary encoding: header + row-major `f32` payload.
     pub fn to_binary_dense(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(48 + 4 * self.map.data().len());
+        let mut buf = BytesMut::with_capacity(HEADER_LEN + 4 * self.map.data().len());
         self.put_header(&mut buf, 0);
         for &v in self.map.data() {
             buf.put_f32_le(v as f32);
@@ -123,7 +151,7 @@ impl StoredBlock {
     /// values (`u32 start, u32 len, len × f32`), row terminated by a
     /// `u32::MAX` sentinel.
     pub fn to_binary_sparse(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(48 + self.map.data().len() / 4);
+        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.map.data().len() / 4);
         self.put_header(&mut buf, 1);
         for d in 0..self.map.drift_bins() {
             let row = self.map.drift_row(d);
@@ -148,16 +176,16 @@ impl StoredBlock {
         buf.freeze()
     }
 
-    /// Decodes either binary encoding.
+    /// Decodes either binary encoding. Malformed input of any kind is a
+    /// [`FormatError`]: the declared map is checked against the payload
+    /// before it is allocated, so no header can make the decoder allocate
+    /// more than twice its input or [`MAX_SPARSE_CELLS`] cells.
     pub fn from_binary(bytes: Bytes) -> Result<Self, FormatError> {
         let mut buf = bytes;
         let (kind, mut block) = Self::read_header(&mut buf)?;
         let (drift_bins, mz_bins) = (block.map.drift_bins(), block.map.mz_bins());
         match kind {
             0 => {
-                if buf.remaining() < 4 * drift_bins * mz_bins {
-                    return Err(FormatError::Corrupt("short dense payload"));
-                }
                 for v in block.map.data_mut().iter_mut() {
                     *v = buf.get_f32_le() as f64;
                 }
@@ -187,7 +215,7 @@ impl StoredBlock {
                     }
                 }
             }
-            _ => return Err(FormatError::Corrupt("unknown kind")),
+            _ => unreachable!("read_header admits kinds 0 and 1 only"),
         }
         Ok(block)
     }
@@ -294,5 +322,24 @@ mod tests {
         assert!(StoredBlock::from_binary(bad.freeze()).is_err());
         // Empty.
         assert!(StoredBlock::from_binary(Bytes::new()).is_err());
+        // Trailing bytes after a dense payload.
+        let mut long = BytesMut::from(&good[..]);
+        long.put_u32_le(0);
+        assert!(StoredBlock::from_binary(long.freeze()).is_err());
+    }
+
+    #[test]
+    fn a_header_claiming_a_huge_map_is_an_error_not_an_allocation() {
+        // A bare 48-byte header declaring 65536 × 65536 cells: 32 GiB as
+        // f64, which the decoder used to allocate before reading on.
+        for kind in [0, 1] {
+            let mut header = BytesMut::new();
+            sample_block(0.0).put_header(&mut header, kind);
+            assert_eq!(header.len(), HEADER_LEN);
+            header[40..44].copy_from_slice(&65536u32.to_le_bytes());
+            header[44..48].copy_from_slice(&65536u32.to_le_bytes());
+            let err = StoredBlock::from_binary(header.freeze()).unwrap_err();
+            assert!(matches!(err, FormatError::Corrupt(_)), "kind {kind}: {err}");
+        }
     }
 }

@@ -10,16 +10,18 @@
 //! scratch arena, and within a panel the kernels run unit-stride across
 //! columns — so scaling stays near linear until memory bandwidth
 //! intervenes. The float engine
-//! ([`crate::deconv_batch::BatchDeconvolver`]) and the integer software
-//! backend ([`crate::pipeline::software_deconvolve_block`]) differ only
-//! in the slab walk and the cost prior they hand to `fan_out`.
+//! ([`crate::deconv_batch::BatchDeconvolver`]) and the integer datapath
+//! ([`deconvolve_fixed_point`]) differ only in the slab walk and the cost
+//! prior they hand to `fan_out`.
 
 use crate::acquisition::{AcquiredData, GateSchedule};
 use crate::deconv_batch::BatchDeconvolver;
 use crate::deconvolution::Deconvolver;
 use crate::pipeline::Scheduler;
+use ims_fpga::DeconvCore;
 use ims_physics::DriftTofMap;
-use ims_signal::panel::rows_mut;
+use ims_signal::panel::{rows_mut, Columns};
+use ims_signal::FIXED_POINT_PANEL_WIDTH;
 use std::ops::Range;
 
 /// Which threads a slab fan-out runs on.
@@ -78,15 +80,20 @@ where
     F: Fn(Range<usize>, &mut [&mut [U]]) + Sync,
 {
     let mz = out.len() / rows;
-    let machine = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
+    // The machine probe reads the cgroup's CPU limits (tens of µs), so a
+    // single executor skips it.
+    let machine = || {
+        std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+    };
     let (pool, executors) = match workers {
         Workers::Threads(0) => {
             let global = Scheduler::global();
-            (Some(global), (global.threads() + 1).min(machine))
+            (Some(global), (global.threads() + 1).min(machine()))
         }
-        Workers::Threads(n) => (None, n.min(machine)),
+        Workers::Threads(1) => (None, 1),
+        Workers::Threads(n) => (None, n.min(machine())),
         Workers::Pool(pool, executors) => (Some(pool), executors),
     };
     let panels = mz.div_ceil(width);
@@ -165,6 +172,61 @@ fn panels_per_task(cost: &PanelCost, panel_cells: usize, executors: usize, panel
         .max(1)
 }
 
+/// Deconvolves one accumulated drift-major block through the fixed-point
+/// FWHT core: the one block path of the pipeline's `fpga` and `software`
+/// backends and of the fault fallback.
+///
+/// With `occupied`, a sparse block's occupied m/z columns (ascending),
+/// only those columns of `data` are walked, on the calling thread; every
+/// other column gets the deconvolution of a zero column, computed once.
+/// A column's output depends on that column alone, so the result is the
+/// dense walk's, bit for bit. Without it, every column is walked in slabs
+/// over `workers` (see [`fan_out`]), which leaves the bits unchanged too.
+///
+/// # Panics
+/// Panics if `data` is not a whole number of `core.len()`-row columns.
+pub fn deconvolve_fixed_point(
+    core: &DeconvCore,
+    data: &[u64],
+    occupied: Option<&[usize]>,
+    workers: Workers<'_>,
+) -> Vec<i64> {
+    let n = core.len();
+    assert_eq!(data.len() % n, 0, "block shape mismatch");
+    let mz = data.len() / n;
+    let width = FIXED_POINT_PANEL_WIDTH;
+    let Some(cols) = occupied else {
+        let cost = PanelCost {
+            name: "software-fwht",
+            hist: ims_obs::static_histogram!("deconv.panel_ns.software-fwht"),
+            // The kernel's mean on the E3 block (511 × 128 panels), used
+            // before the histogram warms.
+            prior_ns_per_cell: 3.4,
+        };
+        return fan_out(
+            vec![0; data.len()],
+            n,
+            width,
+            &cost,
+            workers,
+            |cols, rows| core.deconvolve_columns(data, rows, Columns::Range(cols), width),
+        );
+    };
+    ims_obs::static_counter!("deconv.sparse_blocks").incr();
+    ims_obs::static_counter!("deconv.sparse_columns_skipped").add((mz - cols.len()) as u64);
+    let mut out = Vec::with_capacity(data.len());
+    for z in core.deconvolve_column(&vec![0; n]) {
+        out.extend(std::iter::repeat_n(z, mz));
+    }
+    core.deconvolve_columns(
+        data,
+        &mut rows_mut(&mut out, mz),
+        Columns::List(cols),
+        width,
+    );
+    out
+}
+
 /// Runs the parallel deconvolution at `threads` executors (see
 /// [`Workers::Threads`]; 0 counts as 1) and returns the result with the
 /// wall time in seconds — one row of the E8 scaling table.
@@ -184,11 +246,9 @@ pub fn deconvolve_with_threads(
 mod tests {
     use super::*;
     use crate::acquisition::{acquire, AcquireOptions};
-    use ims_fpga::deconv::{DeconvConfig, DeconvCore};
+    use ims_fpga::deconv::DeconvConfig;
     use ims_physics::{Instrument, Workload};
     use ims_prs::MSequence;
-    use ims_signal::panel::{Columns, PanelWalker};
-    use ims_signal::FIXED_POINT_PANEL_WIDTH;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -250,7 +310,7 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        // The integer kernel on the same forced fan-out, word for word
+        // The integer column walk on the same forced fan-out, word for word
         // against the scalar column datapath, at widths that give one
         // column per panel, ragged tails, the production width, and a
         // single panel.
@@ -276,20 +336,7 @@ mod tests {
                 width,
                 &cost,
                 Workers::Pool(&pool, 4),
-                |cols, rows| {
-                    let mut work = Vec::new();
-                    PanelWalker::default().walk(
-                        &words,
-                        rows,
-                        Columns::Range(cols),
-                        width,
-                        |panel, solved, w| {
-                            solved.resize(panel.len(), 0);
-                            core.deconvolve_panel_into(panel, w, solved, &mut work);
-                            solved
-                        },
-                    );
-                },
+                |cols, rows| core.deconvolve_columns(&words, rows, Columns::Range(cols), width),
             );
             pool.shutdown();
             for c in 0..mz {
@@ -300,5 +347,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fixed_point_blocks_match_the_column_path_dense_and_sparse() {
+        let seq = MSequence::new(6);
+        let core = DeconvCore::new(&seq, DeconvConfig::default());
+        let (n, mz) = (seq.len(), 300);
+        // Three occupied columns, the middle one in the third panel.
+        let occupied = [4usize, 5, 290];
+        let mut words = vec![0u64; n * mz];
+        for d in 0..n {
+            for &c in &occupied {
+                words[d * mz + c] = ((d * 31 + c) % 977) as u64;
+            }
+        }
+        let reference = core.deconvolve_columnwise(&words, mz);
+        let pool = Scheduler::new(2);
+        for workers in [Workers::Threads(1), Workers::Pool(&pool, 3)] {
+            assert_eq!(
+                deconvolve_fixed_point(&core, &words, None, workers),
+                reference
+            );
+            let sparse = deconvolve_fixed_point(&core, &words, Some(&occupied), workers);
+            assert_eq!(sparse, reference);
+        }
+        pool.shutdown();
     }
 }

@@ -51,8 +51,7 @@ pub use session::{
     SessionStatus,
 };
 pub use stages::{
-    software_deconvolve_block, AccumulateStage, BinnerStage, DeconvBackend, DeconvolveStage,
-    FrameSource, LinkStage,
+    AccumulateStage, BinnerStage, DeconvBackend, DeconvolveStage, FrameSource, LinkStage,
 };
 
 use crate::fault::FaultInjector;
@@ -81,10 +80,9 @@ pub struct Block {
     pub data: Vec<u64>,
     /// CSR form of the same counts, attached by the accumulate stage when
     /// the block's cell occupancy fell below the sparse threshold and the
-    /// sparse path is enabled. Deconvolution backends that understand it
-    /// skip the empty columns (bit-identical output); the dense copy
-    /// rides along for the backends — and fault-injection checksums —
-    /// that don't.
+    /// sparse path is enabled. The FWHT backends read its occupied columns
+    /// and walk only those columns of `data` (bit-identical output); the
+    /// naive MAC array and the fault fallback walk `data` whole.
     pub sparse: Option<ims_fpga::SparseBlock>,
 }
 

@@ -5,14 +5,12 @@ use super::{Block, DeconvolvedBlock, Message, ObsTap, PipelineReport, Stage};
 use crate::capture::CaptureLog;
 use crate::fault::FaultInjector;
 use crate::hybrid::FrameGenerator;
-use crate::parallel::{fan_out, PanelCost, Workers};
+use crate::parallel::{deconvolve_fixed_point, Workers};
 use ims_fpga::deconv::{DeconvConfig, DeconvCore};
 use ims_fpga::deconv_naive::{NaiveConfig, NaiveMacCore};
 use ims_fpga::dma::{DmaLink, FramePacket};
-use ims_fpga::{AccumulatorCore, MzBinner, ShardedAccumulator};
+use ims_fpga::{AccumulatorCore, MzBinner, ShardedAccumulator, SparseBlock};
 use ims_prs::MSequence;
-use ims_signal::panel::{Columns, PanelWalker};
-use ims_signal::FIXED_POINT_PANEL_WIDTH;
 use std::sync::Arc;
 
 /// The head of the graph: generates reproducible raw frames on demand
@@ -454,12 +452,7 @@ impl AccumulateStage {
         let data = self.acc.drain_merged();
         self.folded.clear();
         let sparse = if self.sparse_enabled {
-            ims_fpga::SparseBlock::from_dense_below(
-                &data,
-                drift,
-                mz,
-                ims_fpga::SPARSE_OCCUPANCY_THRESHOLD,
-            )
+            SparseBlock::from_dense_below(&data, drift, mz, ims_fpga::SPARSE_OCCUPANCY_THRESHOLD)
         } else {
             None
         };
@@ -570,9 +563,11 @@ impl Stage for AccumulateStage {
 ///
 /// All three compute the identical integer result (same arithmetic, same
 /// rounding); they differ only in cycle/throughput modelling — which is the
-/// E3/E11 story: FWHT core vs naive MAC array vs multi-core software.
+/// E3/E11 story: FWHT core vs naive MAC array vs multi-core software. The
+/// FPGA model and the software path run the same FWHT block walk
+/// ([`deconvolve_fixed_point`]), one executor or many.
 pub enum DeconvBackend {
-    /// The PNNL-enhanced FWHT FPGA core.
+    /// The PNNL-enhanced FWHT FPGA core, walked on one executor.
     Fpga(DeconvCore),
     /// The naive `O(N²)` MAC-array FPGA core.
     Naive(NaiveMacCore),
@@ -614,16 +609,6 @@ impl DeconvBackend {
         }
     }
 
-    /// The FWHT core of this backend, when it has one (the FPGA model or
-    /// the software engine — the naive MAC array does not speak sparse).
-    fn fwht_core_mut(&mut self) -> Option<&mut DeconvCore> {
-        match self {
-            DeconvBackend::Fpga(core) => Some(core),
-            DeconvBackend::Software { core, .. } => Some(core),
-            DeconvBackend::Naive(_) => None,
-        }
-    }
-
     /// Parses a backend name (`fpga` | `naive` | `software`).
     pub fn from_name(
         name: &str,
@@ -655,9 +640,9 @@ pub struct DeconvolveStage {
     mz_bins: usize,
     /// Data cells (drift × m/z) deconvolved so far.
     cells: u64,
-    /// Model cycles tallied for the software backend (whose panel kernel
-    /// does not count cycles itself).
-    software_cycles: u64,
+    /// Model cycles of every block deconvolved so far, fallback blocks
+    /// included: the run's one deconvolution cycle tally.
+    cycles: u64,
     /// When armed, the per-block hardware-backend failure site.
     injector: Option<FaultInjector>,
     /// The software panel engine used to recover blocks a hardware-model
@@ -682,7 +667,7 @@ impl DeconvolveStage {
             backend,
             mz_bins,
             cells: 0,
-            software_cycles: 0,
+            cycles: 0,
             injector: None,
             fallback_core: None,
             fallback_enabled: true,
@@ -742,6 +727,38 @@ impl DeconvolveStage {
         }
         true
     }
+
+    /// Deconvolves one block and prices it in model cycles: the FWHT core
+    /// at the columns it solved (the full m/z width for a dense or
+    /// fallback block, the occupied columns plus the zero column for a
+    /// sparse one), the naive MAC array at its own per-column price.
+    fn deconvolve(&mut self, b: &Block) -> Vec<i64> {
+        let mz = self.mz_bins;
+        let (core, occupied, workers) = if self.route_to_fallback(b.index) {
+            // Recovery path: the hardware-model backend failed, so this
+            // block runs dense on the software engine over the shared
+            // pool — same integer arithmetic, bit-identical output.
+            let core = self
+                .fallback_core
+                .as_ref()
+                .expect("route_to_fallback requires a fallback core");
+            (core, None, Workers::Threads(0))
+        } else {
+            let occupied = || b.sparse.as_ref().map(SparseBlock::occupied_columns);
+            match &self.backend {
+                DeconvBackend::Naive(core) => {
+                    self.cycles += core.cycles_per_block(mz);
+                    return core.deconvolve_block(&b.data, mz);
+                }
+                DeconvBackend::Fpga(core) => (core, occupied(), Workers::Threads(1)),
+                DeconvBackend::Software { core, threads } => {
+                    (core, occupied(), Workers::Threads(*threads))
+                }
+            }
+        };
+        self.cycles += core.cycles_per_block(occupied.as_ref().map_or(mz, |c| c.len() + 1));
+        deconvolve_fixed_point(core, &b.data, occupied.as_deref(), workers)
+    }
 }
 
 impl Stage for DeconvolveStage {
@@ -753,36 +770,7 @@ impl Stage for DeconvolveStage {
         match msg {
             Message::Block(b) => {
                 self.cells += b.data.len() as u64;
-                let data = if self.route_to_fallback(b.index) {
-                    // Recovery path: the hardware-model backend failed, so
-                    // this block runs on the software panel engine instead
-                    // — same integer arithmetic, bit-identical output.
-                    let core = self
-                        .fallback_core
-                        .as_ref()
-                        .expect("route_to_fallback requires a fallback core");
-                    self.software_cycles += core.cycles_per_block(self.mz_bins);
-                    software_deconvolve_block(core, &b.data, self.mz_bins, 0)
-                } else if let (Some(sparse), Some(core)) = (&b.sparse, self.backend.fwht_core_mut())
-                {
-                    // Zero-skipping path: solve only the occupied columns
-                    // (bit-identical to the dense path — each occupied
-                    // column runs the exact dense pipeline, and empty
-                    // columns share the cached zero-column response).
-                    core.deconvolve_block_sparse(sparse)
-                } else {
-                    match &mut self.backend {
-                        DeconvBackend::Fpga(core) => core.deconvolve_block(&b.data, self.mz_bins),
-                        DeconvBackend::Naive(core) => core.deconvolve_block(&b.data, self.mz_bins),
-                        DeconvBackend::Software { core, threads } => {
-                            // Keep the FPGA cycle model consistent even on
-                            // the software path, so E3-style comparisons can
-                            // read both wall time and modelled cycles.
-                            self.software_cycles += core.cycles_per_block(self.mz_bins);
-                            software_deconvolve_block(core, &b.data, self.mz_bins, *threads)
-                        }
-                    }
-                };
+                let data = self.deconvolve(&b);
                 emit(Message::Deconvolved(DeconvolvedBlock {
                     index: b.index,
                     frames: b.frames,
@@ -795,21 +783,8 @@ impl Stage for DeconvolveStage {
 
     fn finalize(&mut self, report: &mut PipelineReport) {
         report.backend = self.backend.name().to_string();
-        report.deconv_cycles += match &self.backend {
-            DeconvBackend::Fpga(core) => core.cycles(),
-            DeconvBackend::Naive(core) => core.cycles(),
-            // Dense software blocks tally into `software_cycles`; sparse
-            // ones run on the core itself and tally there.
-            DeconvBackend::Software { core, .. } => self.software_cycles + core.cycles(),
-        };
-        // Fallback blocks ran on the software engine; their modelled
-        // cycles were tallied into software_cycles above.
-        if self.fallbacks > 0 {
-            if !matches!(self.backend, DeconvBackend::Software { .. }) {
-                report.deconv_cycles += self.software_cycles;
-            }
-            report.deconv_fallbacks += self.fallbacks;
-        }
+        report.deconv_cycles += self.cycles;
+        report.deconv_fallbacks += self.fallbacks;
     }
 
     fn cells_processed(&self) -> u64 {
@@ -821,52 +796,4 @@ impl Stage for DeconvolveStage {
         self.fallback_enabled = supervisor.deconv_fallback;
         self.max_consecutive_failures = supervisor.max_consecutive_deconv_failures.max(1);
     }
-}
-
-/// The CPU software deconvolution of one block: the fixed-point panel
-/// kernel run through the shared slab fan-out at
-/// [`FIXED_POINT_PANEL_WIDTH`] on [`Workers::Threads`]`(threads)`, so
-/// `threads == 0` shares the process-wide [`Scheduler`](super::Scheduler)
-/// pool with the serving sessions. Integer arithmetic makes the result
-/// bit-identical to the FPGA path at every thread count.
-pub fn software_deconvolve_block(
-    core: &DeconvCore,
-    data: &[u64],
-    mz_bins: usize,
-    threads: usize,
-) -> Vec<i64> {
-    let n = core.len();
-    assert_eq!(data.len(), n * mz_bins, "block shape mismatch");
-    let hist = ims_obs::static_histogram!("deconv.panel_ns.software-fwht");
-    let cost = PanelCost {
-        name: "software-fwht",
-        hist,
-        // The kernel's mean on the E3 block (511 × 128 panels), used
-        // before the histogram warms.
-        prior_ns_per_cell: 3.4,
-    };
-    fan_out(
-        vec![0i64; data.len()],
-        n,
-        FIXED_POINT_PANEL_WIDTH,
-        &cost,
-        Workers::Threads(threads),
-        |cols, rows| {
-            let mut work = Vec::new();
-            PanelWalker::default().walk(
-                data,
-                rows,
-                Columns::Range(cols),
-                FIXED_POINT_PANEL_WIDTH,
-                |panel, solved, width| {
-                    let _sp = ims_obs::span_cat("software-fwht", "panel");
-                    let start = std::time::Instant::now();
-                    solved.resize(panel.len(), 0);
-                    core.deconvolve_panel_into(panel, width, solved, &mut work);
-                    hist.record_duration(start.elapsed());
-                    solved
-                },
-            );
-        },
-    )
 }

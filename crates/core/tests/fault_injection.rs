@@ -296,3 +296,59 @@ proptest! {
         prop_assert!(armed.report.errors.is_empty());
     }
 }
+
+/// A rate drawn from `pick`: 0 and 1 exactly, or `x` in `[0, 1)`.
+fn rate(pick: u8, x: f64) -> f64 {
+    match pick % 4 {
+        0 => 0.0,
+        1 => 1.0,
+        _ => x,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The canonical form is a fixed point: rendering any spec and parsing
+    /// it back gives the same spec, stall durations to the nanosecond.
+    #[test]
+    fn rendered_specs_parse_back_to_themselves(
+        picks in prop::collection::vec(any::<u8>(), 6),
+        xs in prop::collection::vec(0.0..1.0f64, 5),
+        stall in any::<bool>(),
+        stall_ns in 0u64..(1 << 52),
+        whole_ms in any::<bool>(),
+    ) {
+        let duration = if whole_ms {
+            Duration::from_millis(stall_ns % 100_000)
+        } else {
+            Duration::from_nanos(stall_ns)
+        };
+        let spec = FaultSpec {
+            dma_bitflip: rate(picks[0], xs[0]),
+            frame_drop: rate(picks[1], xs[1]),
+            deconv_fail: rate(picks[2], xs[2]),
+            shard_kill: rate(picks[3], xs[3]),
+            source_stall: stall.then(|| htims_core::fault::StallSpec {
+                duration,
+                rate: rate(picks[4], xs[4]),
+            }),
+        };
+        let text = spec.to_string();
+        prop_assert_eq!(FaultSpec::parse(&text), Ok(spec.clone()), "rendered as `{}`", text);
+    }
+}
+
+#[test]
+fn sub_millisecond_stalls_render_exactly() {
+    for (text, rendered) in [
+        ("source.stall=2.5ms@0.5", "source.stall=0.0025s@0.5"),
+        ("source.stall=0.5ms", "source.stall=0.0005s@1"),
+        ("source.stall=50ms@0.01", "source.stall=0.05s@0.01"),
+        ("source.stall=2s@0", "source.stall=2s@0"),
+    ] {
+        let spec = FaultSpec::parse(text).unwrap();
+        assert_eq!(spec.to_string(), rendered, "{text}");
+        assert_eq!(FaultSpec::parse(rendered).unwrap(), spec, "{text}");
+    }
+}

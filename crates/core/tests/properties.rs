@@ -134,3 +134,117 @@ proptest! {
             "apex {apex_got} vs truth {apex_truth}");
     }
 }
+
+// --- Sparse block path: equivalence and round-trip across occupancy ------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The fixed-point block path over a CSR block's occupied columns is
+    /// bit-identical to the dense block walk at every occupancy level, and
+    /// the CSR form itself round-trips the dense data exactly.
+    #[test]
+    fn sparse_block_deconvolution_matches_dense_across_occupancy(
+        degree in 3u32..6,
+        mz in 8usize..40,
+        seed in 0u64..200,
+        keep_every in 1usize..16,
+    ) {
+        use htims_core::parallel::{deconvolve_fixed_point, Workers};
+        use ims_fpga::{DeconvConfig, DeconvCore, SparseBlock};
+        let n = (1usize << degree) - 1;
+        let data: Vec<u64> = (0..n * mz)
+            .map(|i| {
+                let m = i % mz;
+                if m % keep_every == 0 {
+                    ((i as u64).wrapping_mul(seed.wrapping_add(11)) % 4096) + 1
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let csr = SparseBlock::from_dense(&data, n, mz);
+        prop_assert_eq!(csr.to_dense(), data.clone(), "CSR round-trip");
+
+        let core = DeconvCore::new(&ims_prs::MSequence::new(degree), DeconvConfig::default());
+        let occupied = csr.occupied_columns();
+        let sparse = deconvolve_fixed_point(&core, &data, Some(&occupied), Workers::Threads(1));
+        prop_assert_eq!(core.deconvolve_block(&data, mz), sparse);
+    }
+}
+
+// --- Block decoder: untrusted bytes are a typed error, never an abort -----
+
+/// A small valid container of either kind.
+fn stored_block_bytes(sparse: bool) -> Vec<u8> {
+    use htims_core::format::StoredBlock;
+    let mut map = DriftTofMap::zeros(6, 9);
+    for (i, v) in map.data_mut().iter_mut().enumerate() {
+        if i % 3 != 0 {
+            *v = i as f64 * 1.5;
+        }
+    }
+    let block = StoredBlock {
+        frames: 3,
+        bin_width_s: 1e-4,
+        mz_min: 200.0,
+        mz_max: 2200.0,
+        map,
+    };
+    let bytes = if sparse {
+        block.to_binary_sparse()
+    } else {
+        block.to_binary_dense()
+    };
+    bytes.to_vec()
+}
+
+/// Decodes `bytes`; an accepted map must fit what its payload can hold.
+fn decode_checked(bytes: Vec<u8>) -> Result<(), TestCaseError> {
+    use htims_core::format::{StoredBlock, MAX_SPARSE_CELLS};
+    let len = bytes.len();
+    if let Ok(block) = StoredBlock::from_binary(bytes::Bytes::from(bytes)) {
+        let cells = block.map.data().len();
+        prop_assert!(
+            cells <= MAX_SPARSE_CELLS || 48 + 4 * cells == len,
+            "{cells} cells from {len} bytes"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, bare and behind a valid magic, version and kind.
+    #[test]
+    fn block_decoder_rejects_arbitrary_bytes_without_panicking(
+        sparse in any::<bool>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+    ) {
+        decode_checked(bytes.clone())?;
+        let mut framed = stored_block_bytes(sparse);
+        framed.truncate(8);
+        framed.extend_from_slice(&bytes);
+        decode_checked(framed)?;
+    }
+
+    /// Valid containers with a few bytes overwritten (the header's map
+    /// dimensions among them) and, sometimes, a torn tail.
+    #[test]
+    fn block_decoder_survives_mutated_encodings(
+        sparse in any::<bool>(),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+        cut in any::<usize>(),
+    ) {
+        let mut bytes = stored_block_bytes(sparse);
+        let len = bytes.len();
+        for &(at, value) in &edits {
+            bytes[at % len] = value;
+        }
+        if cut.is_multiple_of(3) {
+            bytes.truncate(cut % bytes.len());
+        }
+        decode_checked(bytes)?;
+    }
+}

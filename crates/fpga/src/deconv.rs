@@ -56,7 +56,6 @@ pub struct DeconvCore {
     config: DeconvConfig,
     /// The output scaler's shift `f + 1 − k`.
     scale_shift: i32,
-    cycles: u64,
 }
 
 impl DeconvCore {
@@ -72,7 +71,6 @@ impl DeconvCore {
             scale_shift: config.output_frac_bits as i32 + 1 - m.trailing_zeros() as i32,
             transform,
             config,
-            cycles: 0,
         }
     }
 
@@ -89,11 +87,6 @@ impl DeconvCore {
     /// The configuration.
     pub fn config(&self) -> &DeconvConfig {
         &self.config
-    }
-
-    /// Clock cycles consumed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 
     /// Deconvolves one m/z column of accumulated counts; returns raw
@@ -206,8 +199,8 @@ impl DeconvCore {
     /// The scalar-column schedule of a whole drift-major block: each
     /// column walked on its own through [`DeconvCore::deconvolve_column`]
     /// (fresh buffers per column). Bit-identical to
-    /// [`DeconvCore::deconvolve_block`], tallies no cycles, and is the
-    /// baseline the panel datapath is measured against.
+    /// [`DeconvCore::deconvolve_block`], and the baseline the panel
+    /// datapath is measured against.
     pub fn deconvolve_columnwise(&self, data: &[u64], mz_bins: usize) -> Vec<i64> {
         assert_eq!(data.len(), self.len() * mz_bins, "block shape mismatch");
         let mut out = vec![0i64; data.len()];
@@ -224,73 +217,49 @@ impl DeconvCore {
         out
     }
 
-    /// Deconvolves a whole drift-major block (`mz_bins` columns), tallying
-    /// cycles, and returns the drift-major fixed-point result. Columns are
-    /// processed in panels of [`FIXED_POINT_PANEL_WIDTH`] via
-    /// [`DeconvCore::deconvolve_panel_into`] — the modelled cycle count is
-    /// unchanged (the FPGA's parallelism model is `parallel_columns`, not
-    /// the software panel width).
-    pub fn deconvolve_block(&mut self, data: &[u64], mz_bins: usize) -> Vec<i64> {
-        let n = self.len();
-        assert_eq!(data.len(), n * mz_bins, "block shape mismatch");
-        let mut out = vec![0i64; n * mz_bins];
-        self.solve_columns(data, &mut out, Columns::Range(0..mz_bins));
-        self.cycles += self.cycles_per_block(mz_bins);
-        out
-    }
-
-    /// Deconvolves a sparse block by solving only its occupied m/z
-    /// columns and splatting a once-computed zero-column response into
-    /// the empty ones.
+    /// The fixed-point column walk every panel-batched path runs:
+    /// deconvolves the columns `cols` of the drift-major block `data` into
+    /// `rows` (a whole block's rows, or the same column range of each; see
+    /// [`PanelWalker::walk`]) in panels of `width` columns through
+    /// [`DeconvCore::deconvolve_panel_into`].
     ///
-    /// Every occupied column is expanded to its exact dense contents and
-    /// run through the ordinary panel pipeline, and an empty column's
-    /// response is itself the exact deconvolution of a zero column, so
-    /// the output is **bit-identical** to
-    /// `deconvolve_block(&block.to_dense(), ..)` — the cores differ only
-    /// in work done. The cycle model prices occupied columns plus one
-    /// zero-response column: a zero-suppressing column dispatcher never
-    /// feeds empty columns to the engines, which is where the sparse
-    /// speedup comes from. Skipped columns are tallied in the
-    /// `deconv.sparse_columns_skipped` counter.
-    pub fn deconvolve_block_sparse(&mut self, block: &crate::sparse::SparseBlock) -> Vec<i64> {
-        let n = self.len();
-        assert_eq!(block.drift_bins(), n, "block drift bins mismatch");
-        let mz_bins = block.mz_bins();
-        let occupied = block.occupied_columns();
-        let cols: Vec<usize> = (0..mz_bins).filter(|&c| occupied[c]).collect();
-        // The response every empty column shares: deconvolve one zero
-        // column through the ordinary datapath.
-        let zero_response = self.deconvolve_column(&vec![0u64; n]);
-        let mut out = vec![0i64; n * mz_bins];
-        for d in 0..n {
-            out[d * mz_bins..(d + 1) * mz_bins].fill(zero_response[d]);
-        }
-        self.solve_columns(&block.to_dense(), &mut out, Columns::List(&cols));
-        let k = cols.len();
-        let groups = (k + 1).div_ceil(self.config.parallel_columns) as u64;
-        self.cycles += groups * self.cycles_per_column();
-        ims_obs::static_counter!("deconv.sparse_blocks").incr();
-        ims_obs::static_counter!("deconv.sparse_columns_skipped").add((mz_bins - k) as u64);
-        out
+    /// Each panel is one `software-fwht` trace span and one sample of the
+    /// `deconv.panel_ns.software-fwht` histogram: the CPU cost of the
+    /// kernel, whichever backend the block is priced as. Cycles are not
+    /// counted here: whoever prices a block passes the columns it solved
+    /// to [`DeconvCore::cycles_per_block`].
+    pub fn deconvolve_columns(
+        &self,
+        data: &[u64],
+        rows: &mut [&mut [i64]],
+        cols: Columns<'_>,
+        width: usize,
+    ) {
+        let hist = ims_obs::static_histogram!("deconv.panel_ns.software-fwht");
+        let mut work = Vec::new();
+        PanelWalker::default().walk(data, rows, cols, width, |panel, solved, w| {
+            let _span = ims_obs::span_cat("software-fwht", "panel");
+            let start = std::time::Instant::now();
+            solved.resize(panel.len(), 0);
+            self.deconvolve_panel_into(panel, w, solved, &mut work);
+            hist.record_duration(start.elapsed());
+            solved
+        });
     }
 
-    /// Runs `cols` of the drift-major block `data` through the panel
-    /// datapath into `out`.
-    fn solve_columns(&self, data: &[u64], out: &mut [i64], cols: Columns<'_>) {
-        let mut work = Vec::new();
-        let mz_bins = out.len() / self.len();
-        PanelWalker::default().walk(
+    /// Deconvolves a whole drift-major block (`mz_bins` columns) on the
+    /// calling thread: [`DeconvCore::deconvolve_columns`] over every column
+    /// in panels of [`FIXED_POINT_PANEL_WIDTH`].
+    pub fn deconvolve_block(&self, data: &[u64], mz_bins: usize) -> Vec<i64> {
+        assert_eq!(data.len(), self.len() * mz_bins, "block shape mismatch");
+        let mut out = vec![0i64; data.len()];
+        self.deconvolve_columns(
             data,
-            &mut rows_mut(out, mz_bins),
-            cols,
+            &mut rows_mut(&mut out, mz_bins),
+            Columns::Range(0..mz_bins),
             FIXED_POINT_PANEL_WIDTH,
-            |panel, solved, w| {
-                solved.resize(panel.len(), 0);
-                self.deconvolve_panel_into(panel, w, solved, &mut work);
-                solved
-            },
         );
+        out
     }
 
     /// Converts raw fixed-point output words to `f64`.
@@ -309,8 +278,11 @@ impl DeconvCore {
         n + butterfly_cycles.max(1) + n
     }
 
-    /// Clock cycles for a full block of `mz_bins` columns with
-    /// `parallel_columns` engines.
+    /// Clock cycles for `mz_bins` columns with `parallel_columns` engines:
+    /// a dense block's full width, or a sparse block's occupied columns
+    /// plus the one zero column whose response fills the rest (a
+    /// zero-suppressing column dispatcher never feeds empty columns to the
+    /// engines).
     pub fn cycles_per_block(&self, mz_bins: usize) -> u64 {
         let groups = mz_bins.div_ceil(self.config.parallel_columns) as u64;
         groups * self.cycles_per_column()
@@ -482,7 +454,7 @@ mod tests {
         let seq = MSequence::new(5);
         let n = seq.len();
         let mz_bins = 7;
-        let mut core = DeconvCore::new(&seq, DeconvConfig::default());
+        let core = DeconvCore::new(&seq, DeconvConfig::default());
         let mut data = vec![0u64; n * mz_bins];
         for (i, v) in data.iter_mut().enumerate() {
             *v = ((i * 31) % 250) as u64;
@@ -496,7 +468,6 @@ mod tests {
                 assert_eq!(block[d * mz_bins + mz], expect[d]);
             }
         }
-        assert!(core.cycles() > 0);
     }
 
     #[test]
@@ -544,13 +515,28 @@ mod tests {
         }
         data[20 * mz_bins + 44] = 3;
         let sparse = crate::sparse::SparseBlock::from_dense(&data, n, mz_bins);
-        let mut dense_core = DeconvCore::new(&seq, DeconvConfig::default());
-        let mut sparse_core = DeconvCore::new(&seq, DeconvConfig::default());
-        let dense = dense_core.deconvolve_block(&data, mz_bins);
-        let got = sparse_core.deconvolve_block_sparse(&sparse);
+        let cols = sparse.occupied_columns();
+        assert_eq!(cols, [7, 31, 44]);
+        let core = DeconvCore::new(&seq, DeconvConfig::default());
+        let dense = core.deconvolve_block(&data, mz_bins);
+        // A list walk over the occupied columns into a block pre-filled
+        // with the zero column's response is the dense block, bit for bit.
+        let zero = core.deconvolve_column(&vec![0; n]);
+        let mut got: Vec<i64> = zero
+            .iter()
+            .flat_map(|&z| std::iter::repeat_n(z, mz_bins))
+            .collect();
+        core.deconvolve_columns(
+            &data,
+            &mut rows_mut(&mut got, mz_bins),
+            Columns::List(&cols),
+            FIXED_POINT_PANEL_WIDTH,
+        );
         assert_eq!(dense, got);
-        // The sparse core priced far fewer column groups.
-        assert!(sparse_core.cycles() < dense_core.cycles() / 4);
+        // Priced at the occupied columns plus the zero column, the block
+        // costs far fewer column groups.
+        let sparse_cycles = core.cycles_per_block(cols.len() + 1);
+        assert!(sparse_cycles < core.cycles_per_block(mz_bins) / 4);
     }
 
     #[test]

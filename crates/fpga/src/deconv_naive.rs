@@ -41,7 +41,6 @@ impl Default for NaiveConfig {
 pub struct NaiveMacCore {
     bits: Vec<bool>,
     config: NaiveConfig,
-    cycles: u64,
 }
 
 impl NaiveMacCore {
@@ -52,7 +51,6 @@ impl NaiveMacCore {
         Self {
             bits: seq.bits().to_vec(),
             config,
-            cycles: 0,
         }
     }
 
@@ -64,11 +62,6 @@ impl NaiveMacCore {
     /// Always false.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Clock cycles consumed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 
     /// Deconvolves one column: `x̂[j] = 2·(2·Σᵢ a[σ(i,j)]·y[i] − Σᵢ y[i])
@@ -104,8 +97,9 @@ impl NaiveMacCore {
             .collect()
     }
 
-    /// Deconvolves a drift-major block, tallying cycles.
-    pub fn deconvolve_block(&mut self, data: &[u64], mz_bins: usize) -> Vec<i64> {
+    /// Deconvolves a drift-major block, one column at a time (priced by
+    /// [`NaiveMacCore::cycles_per_block`]).
+    pub fn deconvolve_block(&self, data: &[u64], mz_bins: usize) -> Vec<i64> {
         let n = self.len();
         assert_eq!(data.len(), n * mz_bins, "block shape mismatch");
         let mut out = vec![0i64; n * mz_bins];
@@ -119,7 +113,6 @@ impl NaiveMacCore {
                 out[d * mz_bins + mz] = x[d];
             }
         }
-        self.cycles += self.cycles_per_block(mz_bins);
         out
     }
 
@@ -233,7 +226,7 @@ mod tests {
         let seq = MSequence::new(5);
         let n = seq.len();
         let mz = 4;
-        let mut core = NaiveMacCore::new(&seq, NaiveConfig::default());
+        let core = NaiveMacCore::new(&seq, NaiveConfig::default());
         let data: Vec<u64> = (0..n * mz).map(|i| (i * 7 % 100) as u64).collect();
         let block = core.deconvolve_block(&data, mz);
         for m in 0..mz {
@@ -243,7 +236,6 @@ mod tests {
                 assert_eq!(block[d * mz + m], expect[d]);
             }
         }
-        assert!(core.cycles() > 0);
     }
 
     #[test]

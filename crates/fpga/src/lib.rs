@@ -36,7 +36,7 @@
 //! acc.capture_frame(&vec![1u32; 511 * 100]).unwrap();
 //! let block = acc.drain();
 //!
-//! let mut core = DeconvCore::new(&seq, DeconvConfig::default());
+//! let core = DeconvCore::new(&seq, DeconvConfig::default());
 //! let deconvolved = core.deconvolve_block(&block, 100);
 //! assert_eq!(deconvolved.len(), 511 * 100);
 //!

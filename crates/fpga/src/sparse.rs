@@ -14,11 +14,13 @@
 //!   cell occupancy is below [`SPARSE_OCCUPANCY_THRESHOLD`] (dense
 //!   fallback above — a dense block in sparse clothing costs more, not
 //!   less);
-//! * the deconvolution cores consume it by solving only the *occupied*
-//!   columns and splatting a once-computed zero-column response into the
-//!   rest ([`crate::DeconvCore::deconvolve_block_sparse`]). Every
-//!   occupied column runs the exact dense per-column pipeline, so the
-//!   output is bit-identical to the dense path.
+//! * the deconvolution stage reads its [occupied
+//!   columns](SparseBlock::occupied_columns), walks only those columns of
+//!   the dense block through the FWHT core
+//!   ([`crate::DeconvCore::deconvolve_columns`]) and fills the rest with a
+//!   once-computed zero-column response. Every occupied column runs the
+//!   exact dense per-column pipeline, so the output is bit-identical to
+//!   the dense path.
 
 use serde::{Deserialize, Serialize};
 
@@ -155,13 +157,13 @@ impl SparseBlock {
         &self.runs[self.row_ptr[d] as usize..self.row_ptr[d + 1] as usize]
     }
 
-    /// Marks each m/z column that holds at least one non-zero cell.
-    pub fn occupied_columns(&self) -> Vec<bool> {
+    /// The m/z columns that hold at least one non-zero cell, ascending.
+    pub fn occupied_columns(&self) -> Vec<usize> {
         let mut occ = vec![false; self.mz_bins];
         for run in &self.runs {
             occ[run.start as usize..run.start as usize + run.len as usize].fill(true);
         }
-        occ
+        (0..self.mz_bins).filter(|&c| occ[c]).collect()
     }
 }
 
@@ -211,9 +213,6 @@ mod tests {
     fn occupied_columns_mark_every_nonzero_column() {
         let data = sample(3, 6, &[(0, 1, 5), (1, 1, 7), (2, 4, 2)]);
         let s = SparseBlock::from_dense(&data, 3, 6);
-        assert_eq!(
-            s.occupied_columns(),
-            vec![false, true, false, false, true, false]
-        );
+        assert_eq!(s.occupied_columns(), [1, 4]);
     }
 }

@@ -108,41 +108,3 @@ proptest! {
         prop_assert!(c4 <= c1);
     }
 }
-
-// --- Sparse block path: equivalence and round-trip across occupancy ------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The CSR skip-zero deconvolution is bit-identical to the dense block
-    /// path at every occupancy level, and the CSR form itself round-trips
-    /// the dense data exactly.
-    #[test]
-    fn sparse_block_deconvolution_matches_dense_across_occupancy(
-        degree in 3u32..6,
-        mz in 8usize..40,
-        seed in 0u64..200,
-        keep_every in 1usize..16,
-    ) {
-        let n = (1usize << degree) - 1;
-        let data: Vec<u64> = (0..n * mz)
-            .map(|i| {
-                let m = i % mz;
-                if m % keep_every == 0 {
-                    ((i as u64).wrapping_mul(seed.wrapping_add(11)) % 4096) + 1
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let csr = ims_fpga::SparseBlock::from_dense(&data, n, mz);
-        prop_assert_eq!(csr.to_dense(), data.clone(), "CSR round-trip");
-
-        let seq = MSequence::new(degree);
-        let mut dense_core = DeconvCore::new(&seq, DeconvConfig::default());
-        let mut sparse_core = DeconvCore::new(&seq, DeconvConfig::default());
-        let dense = dense_core.deconvolve_block(&data, mz);
-        let sparse = sparse_core.deconvolve_block_sparse(&csr);
-        prop_assert_eq!(dense, sparse);
-    }
-}

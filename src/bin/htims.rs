@@ -18,14 +18,14 @@ use htims::core::acquisition::{acquire, AcquireOptions, GateSchedule};
 use htims::core::analysis::{build_library, find_features, match_library};
 use htims::core::config::ExperimentConfig;
 use htims::core::deconvolution::{apply_columnwise, Deconvolver};
-use htims::core::parallel::deconvolve_with_threads;
+use htims::core::parallel::{deconvolve_fixed_point, deconvolve_with_threads, Workers};
 use htims::core::BatchDeconvolver;
 use htims::fpga::deconv::DeconvConfig;
 use htims::fpga::{AccumulatorCore, DeconvCore, DmaLink, FpgaDevice, ResourceReport};
 use htims::graph::GraphSpec;
 use htims::physics::{Instrument, Workload};
 use htims::prs::{metrics, MSequence, OversampledSequence};
-use htims::signal::panel::{rows_mut, Columns, PanelWalker};
+use htims::signal::panel::{rows_mut, Columns};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -1389,17 +1389,11 @@ fn bench_deconv(mut args: Args) {
     for &width in widths {
         let batched = || {
             let mut out = vec![0i64; n * mz_bins];
-            let mut work = Vec::new();
-            PanelWalker::default().walk(
+            core.deconvolve_columns(
                 &block,
                 &mut rows_mut(&mut out, mz_bins),
                 Columns::Range(0..mz_bins),
                 width,
-                |panel, solved, w| {
-                    solved.resize(panel.len(), 0);
-                    core.deconvolve_panel_into(panel, w, solved, &mut work);
-                    solved
-                },
             );
             out
         };
@@ -1409,15 +1403,16 @@ fn bench_deconv(mut args: Args) {
         record("fixed-point", "batched", 1, width, secs, scalar_secs);
         check_same_words(&format!("batched w{width}"), &reference, &batched());
     }
-    // Threaded rows for the integer path too: the pipeline's software
-    // backend (the shared slab fan-out), bit-identical to the scalar loop
-    // above at every thread count.
+    // Threaded rows for the integer path too: the pipeline's block path
+    // (the shared slab fan-out), bit-identical to the scalar loop above at
+    // every thread count.
     let fp_width = htims::signal::FIXED_POINT_PANEL_WIDTH;
+    let fixed_point = |block: &[u64], occupied: Option<&[usize]>, t: usize| -> Vec<i64> {
+        deconvolve_fixed_point(&core, block, occupied, Workers::Threads(t))
+    };
     for &t in &threads {
         let secs = best_secs(repeats, || {
-            std::hint::black_box(htims::core::pipeline::software_deconvolve_block(
-                &core, &block, mz_bins, t,
-            ));
+            std::hint::black_box(fixed_point(&block, None, t));
         });
         record(
             "fixed-point",
@@ -1430,7 +1425,7 @@ fn bench_deconv(mut args: Args) {
         check_same_words(
             &format!("batched-parallel t{t}"),
             &reference,
-            &htims::core::pipeline::software_deconvolve_block(&core, &block, mz_bins, t),
+            &fixed_point(&block, None, t),
         );
     }
 
@@ -1495,8 +1490,8 @@ fn bench_deconv(mut args: Args) {
             record(name, "sparse-skip", 1, width, secs, scalar_secs);
         }
 
-        // Integer path: CSR-of-runs block through the FWHT core's
-        // skip-zero entry point.
+        // Integer path: the pipeline's sparse block path, which reads the
+        // occupied columns from the CSR sidecar and walks only those.
         let sparse_block: Vec<u64> = sparse_data
             .accumulated
             .data()
@@ -1515,15 +1510,15 @@ fn bench_deconv(mut args: Args) {
             scalar_secs,
         );
         let csr = htims::fpga::SparseBlock::from_dense(&sparse_block, n, mz_bins);
-        let mut sparse_core = DeconvCore::new(&seq, DeconvConfig::default());
+        let sparse_skip = || fixed_point(&sparse_block, Some(&csr.occupied_columns()), 1);
         let secs = best_secs(repeats, || {
-            std::hint::black_box(sparse_core.deconvolve_block_sparse(&csr));
+            std::hint::black_box(sparse_skip());
         });
         record("fixed-point", "sparse-skip", 1, fp_width, secs, scalar_secs);
         check_same_words(
             "sparse-skip",
             &core.deconvolve_columnwise(&sparse_block, mz_bins),
-            &sparse_core.deconvolve_block_sparse(&csr),
+            &sparse_skip(),
         );
     }
 

@@ -1,5 +1,6 @@
 //! Golden outputs: the output fingerprint and the FPGA-model counts of six
-//! fixed graphs, pinned as constants.
+//! fixed graphs and of one quiet-ADC sparse graph on every backend, pinned
+//! as constants.
 //!
 //! Every other bit-exact test compares two paths of the program with each
 //! other (stage vs software reference, sharded vs monolithic, inline vs
@@ -7,10 +8,18 @@
 //! these constants do not move with the code. The degree-6 ones were
 //! recorded before the frame stages were rewritten to read straight from the
 //! packet payload, the degree-9 ones before the fixed-point output scaler
-//! became a shift; neither refactor may change them.
+//! became a shift, the sparse ones before the fixed-point block walks were
+//! merged into one; none of those refactors may change them.
 
 use htims::chaos::output_fingerprint;
+use htims::core::acquisition::{acquire, AcquireOptions, GateSchedule};
+use htims::core::fault::{FaultInjector, FaultSpec};
+use htims::core::hybrid::{hybrid_pipeline, FrameGenerator, HybridConfig};
+use htims::core::pipeline::DeconvBackend;
 use htims::graph::GraphSpec;
+use htims::physics::{Instrument, Workload};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// What one run must reproduce exactly.
 #[derive(Debug, PartialEq, Eq)]
@@ -162,5 +171,86 @@ fn degree_nine_outputs_and_cycle_counts_are_pinned() {
     ];
     for (name, spec, want) in cases {
         assert_eq!(run(&spec), want, "{name}");
+    }
+}
+
+/// What one sparse run must reproduce exactly.
+#[derive(Debug, PartialEq, Eq)]
+struct SparseGolden {
+    output_fnv: u64,
+    deconv_cycles: u64,
+    sparse_blocks: u64,
+    deconv_fallbacks: u64,
+}
+
+/// `GraphSpec::small`'s graph (degree 6, 60 m/z, seed 7) with the ADC's
+/// electronic noise off, so blocks fall below the sparse threshold:
+/// 2 blocks of 4 frames, 4 shards, sparse on, on the inline executor.
+/// `GraphSpec` has no ADC field, so this builds the graph the way
+/// `GraphSpec::build` does, with `noise_sigma = 0`.
+fn run_quiet_sparse(backend: &str, faults: Option<&str>) -> SparseGolden {
+    let (degree, mz, frames, blocks, seed) = (6u32, 60usize, 4u64, 2u64, 7u64);
+    let mut inst = Instrument::with_drift_bins((1 << degree) - 1);
+    inst.tof.n_bins = mz;
+    inst.adc.noise_sigma = 0.0;
+    let schedule = GateSchedule::multiplexed(degree);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let data = acquire(
+        &inst,
+        &Workload::three_peptide_mix(),
+        &schedule,
+        1,
+        AcquireOptions::default(),
+        &mut rng,
+    );
+    let GateSchedule::Multiplexed { seq } = schedule else {
+        unreachable!("multiplexed() builds a multiplexed schedule")
+    };
+    let gen = FrameGenerator::new(&data, &inst.adc, seed + 1227);
+    let cfg = HybridConfig {
+        frames,
+        sparse: true,
+        shards: 4,
+        ..Default::default()
+    };
+    let backend = DeconvBackend::from_name(backend, &seq, cfg.deconv, 0).expect("known backend");
+    let mut graph = hybrid_pipeline(&gen, &seq, &cfg, frames * blocks, frames, false, backend);
+    if let Some(text) = faults {
+        let spec = FaultSpec::parse(text).expect("valid fault spec");
+        graph = graph.with_faults(FaultInjector::new(seed, spec));
+    }
+    let out = graph.run_inline();
+    SparseGolden {
+        output_fnv: output_fingerprint(&out),
+        deconv_cycles: out.report.deconv_cycles,
+        sparse_blocks: out.report.sparse_blocks,
+        deconv_fallbacks: out.report.deconv_fallbacks,
+    }
+}
+
+/// Sparse blocks on every deconvolution backend, and on the fault
+/// fallback, which prices its blocks at the full m/z width. One output for
+/// all four: every backend computes the same integer result.
+#[test]
+fn sparse_outputs_and_cycle_counts_are_pinned() {
+    let output_fnv = 14645345188287084910;
+    let cases = [
+        ("fpga", None, 1392, 0),
+        ("software", None, 1392, 0),
+        ("naive", None, 37320, 0),
+        ("fpga", Some("deconv.fail=1"), 5220, 2),
+    ];
+    for (backend, faults, deconv_cycles, deconv_fallbacks) in cases {
+        let want = SparseGolden {
+            output_fnv,
+            deconv_cycles,
+            sparse_blocks: 2,
+            deconv_fallbacks,
+        };
+        assert_eq!(
+            run_quiet_sparse(backend, faults),
+            want,
+            "{backend} {faults:?}"
+        );
     }
 }
