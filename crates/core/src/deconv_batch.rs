@@ -19,7 +19,8 @@
 //! * kernel spectra, twiddle factors, chirps and permutation tables are
 //!   hoisted out of the column loop into the solver
 //!   ([`ims_prs::weighting::CirculantSolver`]), and all working memory
-//!   lives in reusable scratch arenas — zero allocations in steady state;
+//!   lives in scratch buffers each walk reuses across its panels — no
+//!   allocation per column or panel;
 //! * panels are embarrassingly parallel, so
 //!   [`BatchDeconvolver::deconvolve_map_parallel`] hands the block to the
 //!   shared slab fan-out ([`crate::parallel`]) on the process-wide
@@ -38,7 +39,7 @@ use ims_physics::DriftTofMap;
 use ims_prs::permutation::TransformScratch;
 use ims_prs::weighting::{CirculantInverse, CirculantScratch, CirculantSolver};
 use ims_prs::FastMTransform;
-use ims_signal::panel::{rows_mut, Columns, PanelWalker};
+use ims_signal::panel::{Columns, PanelWalker};
 
 /// Panel width of every float method (see [`ims_signal::DEFAULT_PANEL_WIDTH`]).
 pub use ims_signal::DEFAULT_PANEL_WIDTH;
@@ -75,16 +76,6 @@ impl PanelKernel {
             PanelKernel::Circulant(_) => 40.0,
         }
     }
-}
-
-/// Reusable per-worker scratch for the batch engine. One instance per
-/// thread is enough; it grows to the largest panel shape seen and is then
-/// reused without further allocation.
-#[derive(Debug, Clone, Default)]
-pub struct PanelScratch {
-    walker: PanelWalker<f64, f64>,
-    transform: TransformScratch,
-    circulant: CirculantScratch,
 }
 
 /// Batched deconvolution engine: one precomputed kernel applied to panels
@@ -165,17 +156,6 @@ impl BatchDeconvolver {
         }
     }
 
-    /// Engine around a prebuilt fast m-sequence transform (the simplex
-    /// inverse for the convolution forward model).
-    pub fn from_transform(transform: FastMTransform) -> Self {
-        let kernel = PanelKernel::Simplex(transform);
-        Self {
-            panel_hist: panel_histogram(&kernel),
-            kernel,
-            panel_width: DEFAULT_PANEL_WIDTH,
-        }
-    }
-
     /// Sets the panel width (columns per panel). Widths are clamped to at
     /// least 1; the last panel of a block is narrower when `mz_bins` is not
     /// a multiple of the width.
@@ -235,30 +215,17 @@ impl BatchDeconvolver {
         self.deconvolve_map_with(map, Workers::Threads(1))
     }
 
-    /// In-place, allocation-free (given a warmed `scratch`, apart from a
-    /// per-call row index) form of [`BatchDeconvolver::deconvolve_map`].
-    pub fn deconvolve_in_place(&self, map: &mut DriftTofMap, scratch: &mut PanelScratch) {
-        let (drift, mz) = (map.drift_bins(), map.mz_bins());
-        self.check_shape(drift);
-        if matches!(self.kernel, PanelKernel::Identity) {
-            return;
-        }
-        self.walk_in_place(&mut rows_mut(map.data_mut(), mz), mz, scratch);
-    }
-
-    /// Deconvolves the `mz` columns of the drift-major `rows` in place.
-    fn walk_in_place(&self, rows: &mut [&mut [f64]], mz: usize, scratch: &mut PanelScratch) {
-        let PanelScratch {
-            walker,
-            transform,
-            circulant,
-        } = scratch;
-        walker.walk_in_place(
+    /// Deconvolves the `mz` columns of the drift-major `rows` in place,
+    /// reusing one set of scratch buffers across the walk's panels.
+    fn walk_in_place(&self, rows: &mut [&mut [f64]], mz: usize) {
+        let mut transform = TransformScratch::default();
+        let mut circulant = CirculantScratch::default();
+        PanelWalker::default().walk_in_place(
             rows,
             Columns::Range(0..mz),
             self.panel_width,
             |panel, _, width| {
-                self.solve_panel(panel, width, transform, circulant);
+                self.solve_panel(panel, width, &mut transform, &mut circulant);
                 panel
             },
         );
@@ -299,86 +266,10 @@ impl BatchDeconvolver {
             self.panel_width,
             &cost,
             workers,
-            |cols, rows| self.walk_in_place(rows, cols.len(), &mut PanelScratch::default()),
+            |cols, rows| self.walk_in_place(rows, cols.len()),
         );
         DriftTofMap::from_vec(drift, mz, data)
     }
-
-    /// Deconvolves a mostly-empty map by solving only its *occupied* m/z
-    /// columns and splatting a once-computed zero-column response into
-    /// the rest.
-    ///
-    /// Falls back to the dense serial path when the fraction of occupied
-    /// columns is at or above
-    /// [`ims_fpga::SPARSE_OCCUPANCY_THRESHOLD`] — above that the
-    /// column compaction costs more than the zeros it skips. A column
-    /// counts as empty only when every cell is bit-pattern `+0.0`
-    /// (`-0.0` or denormals make it occupied), every occupied column
-    /// runs the exact per-column kernel sequence of the dense engine,
-    /// and the zero response *is* the kernel's exact output for a zero
-    /// column — so the result is **bit-identical** to
-    /// [`BatchDeconvolver::deconvolve_map`] at every occupancy.
-    ///
-    /// # Panics
-    /// Panics if the map's drift-bin count differs from the kernel length.
-    pub fn deconvolve_map_sparse(&self, map: &DriftTofMap) -> DriftTofMap {
-        let drift = map.drift_bins();
-        let mz = map.mz_bins();
-        self.check_shape(drift);
-        if matches!(self.kernel, PanelKernel::Identity) {
-            return map.clone();
-        }
-        let occ = occupied_columns(map);
-        let cols: Vec<usize> = (0..mz).filter(|&c| occ[c]).collect();
-        if cols.len() as f64 >= ims_fpga::SPARSE_OCCUPANCY_THRESHOLD * mz as f64 {
-            return self.deconvolve_map(map);
-        }
-        ims_obs::static_counter!("deconv.sparse_blocks").incr();
-        ims_obs::static_counter!("deconv.sparse_columns_skipped").add((mz - cols.len()) as u64);
-        let mut scratch = PanelScratch::default();
-        // The response every empty column shares: one zero column through
-        // the ordinary kernel (width 1 — per-column bits are width-
-        // independent).
-        let mut zero_response = vec![0.0f64; drift];
-        self.solve_panel(
-            &mut zero_response,
-            1,
-            &mut scratch.transform,
-            &mut scratch.circulant,
-        );
-        let mut out = DriftTofMap::zeros(drift, mz);
-        let out_data = out.data_mut();
-        for (d, &r) in zero_response.iter().enumerate() {
-            out_data[d * mz..(d + 1) * mz].fill(r);
-        }
-        scratch.walker.walk(
-            map.data(),
-            &mut rows_mut(out_data, mz),
-            Columns::List(&cols),
-            self.panel_width,
-            |panel, _, width| {
-                self.solve_panel(panel, width, &mut scratch.transform, &mut scratch.circulant);
-                panel
-            },
-        );
-        out
-    }
-}
-
-/// Marks each m/z column of a map holding at least one cell whose bit
-/// pattern is not `+0.0` — the float engine's occupancy test (strict on
-/// purpose: `-0.0` can produce sign-different outputs through the kernel,
-/// so only exact `+0.0` columns may share the cached zero response).
-pub fn occupied_columns(map: &DriftTofMap) -> Vec<bool> {
-    let (drift, mz) = (map.drift_bins(), map.mz_bins());
-    let data = map.data();
-    let mut occ = vec![false; mz];
-    for d in 0..drift {
-        for (o, &v) in occ.iter_mut().zip(&data[d * mz..(d + 1) * mz]) {
-            *o |= v.to_bits() != 0;
-        }
-    }
-    occ
 }
 
 #[cfg(test)]
@@ -444,63 +335,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sparse_map_is_bit_identical_to_dense() {
-        let (schedule, data) = small_block(40);
-        // Blank out all but a handful of columns (bitwise +0.0) so the
-        // sparse path actually engages.
-        let mut map = data.accumulated.clone();
-        let (drift, mz) = (map.drift_bins(), map.mz_bins());
-        let keep = [3usize, 4, 17, 38];
-        {
-            let d = map.data_mut();
-            for r in 0..drift {
-                for c in 0..mz {
-                    if !keep.contains(&c) {
-                        d[r * mz + c] = 0.0;
-                    }
-                }
-            }
-        }
-        for method in [
-            Deconvolver::SimplexFast,
-            Deconvolver::Weighted { lambda: 1e-5 },
-        ] {
-            let engine = BatchDeconvolver::new(&method, &schedule, &data);
-            let dense = engine.deconvolve_map(&map);
-            let sparse = engine.deconvolve_map_sparse(&map);
-            for (i, (a, b)) in dense.data().iter().zip(sparse.data().iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} cell {i}: {a} vs {b}",
-                    method.name()
-                );
-            }
-        }
-        // Above threshold the entry point falls back to the dense path.
-        let engine =
-            BatchDeconvolver::new(&Deconvolver::Weighted { lambda: 1e-5 }, &schedule, &data);
-        let dense = engine.deconvolve_map(&data.accumulated);
-        let sparse = engine.deconvolve_map_sparse(&data.accumulated);
-        assert_eq!(dense.data(), sparse.data());
-    }
-
-    #[test]
-    fn scratch_survives_shape_changes() {
-        let (schedule, data) = small_block(40);
-        let engine =
-            BatchDeconvolver::new(&Deconvolver::Weighted { lambda: 1e-5 }, &schedule, &data)
-                .with_panel_width(16);
-        let mut scratch = PanelScratch::default();
-        let mut first = data.accumulated.clone();
-        engine.deconvolve_in_place(&mut first, &mut scratch);
-        // Reuse the same scratch for a second, identical solve.
-        let mut second = data.accumulated.clone();
-        engine.deconvolve_in_place(&mut second, &mut scratch);
-        assert_eq!(first.data(), second.data());
     }
 
     #[test]

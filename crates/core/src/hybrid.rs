@@ -106,7 +106,7 @@ pub struct HybridConfig {
     /// Optional on-chip m/z binning stage in front of the accumulator
     /// (frames arrive at the binner's fine resolution).
     pub binner: Option<MzBinner>,
-    /// When set, the accumulate stage attaches a CSR sidecar to blocks
+    /// When set, the accumulate stage attaches a run index to blocks
     /// whose occupancy falls below the sparse threshold, and
     /// FWHT-capable deconvolution backends skip the empty columns
     /// (bit-identical output).

@@ -23,6 +23,7 @@ use ims_physics::DriftTofMap;
 use ims_signal::panel::{rows_mut, Columns};
 use ims_signal::FIXED_POINT_PANEL_WIDTH;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Which threads a slab fan-out runs on.
 #[derive(Clone, Copy)]
@@ -38,6 +39,14 @@ pub enum Workers<'a> {
     /// An explicit pool and executor count, taken as given (no machine
     /// clamp), so tests can force the slab fan-out on any core count.
     Pool(&'a Scheduler, usize),
+}
+
+/// The machine's [`std::thread::available_parallelism`] (1 when unknown),
+/// probed once per process: the probe reads the cgroup's CPU limits, tens
+/// of µs a call.
+pub(crate) fn machine_threads() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
 }
 
 /// A panel kernel as the fan-out's slab sizing sees it.
@@ -80,20 +89,12 @@ where
     F: Fn(Range<usize>, &mut [&mut [U]]) + Sync,
 {
     let mz = out.len() / rows;
-    // The machine probe reads the cgroup's CPU limits (tens of µs), so a
-    // single executor skips it.
-    let machine = || {
-        std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1)
-    };
     let (pool, executors) = match workers {
         Workers::Threads(0) => {
             let global = Scheduler::global();
-            (Some(global), (global.threads() + 1).min(machine()))
+            (Some(global), (global.threads() + 1).min(machine_threads()))
         }
-        Workers::Threads(1) => (None, 1),
-        Workers::Threads(n) => (None, n.min(machine())),
+        Workers::Threads(n) => (None, n.min(machine_threads())),
         Workers::Pool(pool, executors) => (Some(pool), executors),
     };
     let panels = mz.div_ceil(width);

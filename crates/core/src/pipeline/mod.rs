@@ -78,7 +78,8 @@ pub struct Block {
     pub frames: u64,
     /// Accumulated counts, drift-major.
     pub data: Vec<u64>,
-    /// CSR form of the same counts, attached by the accumulate stage when
+    /// Run index over `data` (its non-zero runs, count and occupied
+    /// columns; no values), attached by the accumulate stage when
     /// the block's cell occupancy fell below the sparse threshold and the
     /// sparse path is enabled. The FWHT backends read its occupied columns
     /// and walk only those columns of `data` (bit-identical output); the

@@ -122,8 +122,8 @@ pub struct PipelineReport {
     /// back as an empty string.
     #[serde(default)]
     pub simd: String,
-    /// Accumulated blocks that took the sparse (CSR, zero-column
-    /// skipping) deconvolution path. Dense runs report 0.
+    /// Accumulated blocks that took the sparse (run-indexed,
+    /// zero-column skipping) deconvolution path. Dense runs report 0.
     #[serde(default)]
     pub sparse_blocks: u64,
     /// Tenant label when the run was admitted through the session

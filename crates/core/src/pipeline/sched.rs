@@ -71,10 +71,7 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(50);
 /// The worker-pool size the global scheduler uses: machine width capped
 /// at 8 (the serving design point — sessions beyond that multiplex).
 pub fn default_pool_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .min(8)
+    crate::parallel::machine_threads().min(8)
 }
 
 /// Locks a mutex, riding through poisoning: scheduler state stays usable

@@ -277,7 +277,7 @@ pub struct AccumulateStage {
     corrupt_policy: CorruptPolicy,
     quarantined: u64,
     /// When set, drained blocks below the occupancy threshold carry a
-    /// CSR [`ims_fpga::SparseBlock`] for zero-skipping deconvolution.
+    /// run index ([`ims_fpga::SparseBlock`]) for zero-skipping deconvolution.
     sparse_enabled: bool,
     sparse_blocks: u64,
     /// Flight-recorder tap + latency-SLO wiring. The accumulator is the
@@ -338,8 +338,8 @@ impl AccumulateStage {
     }
 
     /// Enables the sparse drain path: blocks whose cell occupancy is
-    /// below [`ims_fpga::SPARSE_OCCUPANCY_THRESHOLD`] carry a CSR
-    /// sidecar so downstream deconvolution can skip empty columns.
+    /// below [`ims_fpga::SPARSE_OCCUPANCY_THRESHOLD`] carry a run
+    /// index so downstream deconvolution can skip empty columns.
     /// Output stays bit-identical either way — the sparse path changes
     /// work, never values.
     pub fn with_sparse(mut self, enabled: bool) -> Self {
@@ -452,7 +452,7 @@ impl AccumulateStage {
         let data = self.acc.drain_merged();
         self.folded.clear();
         let sparse = if self.sparse_enabled {
-            SparseBlock::from_dense_below(&data, drift, mz, ims_fpga::SPARSE_OCCUPANCY_THRESHOLD)
+            SparseBlock::index_below(&data, drift, mz, ims_fpga::SPARSE_OCCUPANCY_THRESHOLD)
         } else {
             None
         };
@@ -744,20 +744,20 @@ impl DeconvolveStage {
                 .expect("route_to_fallback requires a fallback core");
             (core, None, Workers::Threads(0))
         } else {
-            let occupied = || b.sparse.as_ref().map(SparseBlock::occupied_columns);
+            let occupied = b.sparse.as_ref().map(SparseBlock::occupied_columns);
             match &self.backend {
                 DeconvBackend::Naive(core) => {
                     self.cycles += core.cycles_per_block(mz);
                     return core.deconvolve_block(&b.data, mz);
                 }
-                DeconvBackend::Fpga(core) => (core, occupied(), Workers::Threads(1)),
+                DeconvBackend::Fpga(core) => (core, occupied, Workers::Threads(1)),
                 DeconvBackend::Software { core, threads } => {
-                    (core, occupied(), Workers::Threads(*threads))
+                    (core, occupied, Workers::Threads(*threads))
                 }
             }
         };
-        self.cycles += core.cycles_per_block(occupied.as_ref().map_or(mz, |c| c.len() + 1));
-        deconvolve_fixed_point(core, &b.data, occupied.as_deref(), workers)
+        self.cycles += core.cycles_per_block(occupied.map_or(mz, |c| c.len() + 1));
+        deconvolve_fixed_point(core, &b.data, occupied, workers)
     }
 }
 

@@ -144,51 +144,6 @@ fn pipeline_report_populates_throughput_fields() {
     assert_eq!(out.report.stage("link").expect("link stage").cells, 0);
 }
 
-// --- Sparse vs dense equivalence across occupancy -------------------------
-//
-// The skip-zero sparse path must be bit-identical to the dense engine at
-// *every* occupancy level: empty maps, a handful of hot columns, and maps
-// dense enough that the entry point falls back to the dense path.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn sparse_map_matches_dense_across_occupancy(
-        degree in 4u32..6,
-        mz in 30usize..70,
-        seed in 0u64..100,
-        keep_every in 1usize..20,
-        method_idx in 0usize..5,
-    ) {
-        let (_, schedule, data) = small_block(degree, mz, seed);
-        // Thin the acquired block down to every `keep_every`-th column:
-        // keep_every == 1 keeps the block dense (occupancy above the
-        // threshold → dense fallback), large values leave only a few hot
-        // columns (the CSR skip path).
-        let mut map = data.accumulated.clone();
-        for d in 0..map.drift_bins() {
-            let row = map.drift_row_mut(d);
-            for (m, v) in row.iter_mut().enumerate() {
-                if m % keep_every != 0 {
-                    *v = 0.0;
-                }
-            }
-        }
-        let method = METHODS[method_idx];
-        let engine = BatchDeconvolver::new(&method, &schedule, &data);
-        let dense = engine.deconvolve_map(&map);
-        let sparse = engine.deconvolve_map_sparse(&map);
-        prop_assert_eq!(dense.drift_bins(), sparse.drift_bins());
-        for (i, (a, b)) in dense.data().iter().zip(sparse.data().iter()).enumerate() {
-            prop_assert!(
-                a.to_bits() == b.to_bits(),
-                "cell {i} diverges at keep_every={keep_every}: {a} vs {b}"
-            );
-        }
-    }
-}
-
 /// Thread scaling must be monotone non-decreasing in effective threads:
 /// requesting more threads than the machine has clamps to the machine
 /// width instead of oversubscribing, so t=4 throughput is never worse

@@ -140,9 +140,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The fixed-point block path over a CSR block's occupied columns is
-    /// bit-identical to the dense block walk at every occupancy level, and
-    /// the CSR form itself round-trips the dense data exactly.
+    /// The fixed-point block path over a sparse block's occupied columns
+    /// is bit-identical to the dense block walk at every occupancy level,
+    /// and the run index describes the block exactly: each row's runs
+    /// cover its non-zero cells and nothing else, ascending and coalesced;
+    /// `nnz` is their count; the occupied columns are exactly the columns
+    /// holding a non-zero.
     #[test]
     fn sparse_block_deconvolution_matches_dense_across_occupancy(
         degree in 3u32..6,
@@ -163,12 +166,36 @@ proptest! {
                 }
             })
             .collect();
-        let csr = SparseBlock::from_dense(&data, n, mz);
-        prop_assert_eq!(csr.to_dense(), data.clone(), "CSR round-trip");
+        let index = SparseBlock::index_below(&data, n, mz, f64::INFINITY).expect("no limit");
+        for (d, row) in data.chunks_exact(mz).enumerate() {
+            let mut covered = vec![false; mz];
+            let mut end = None;
+            for run in index.row_runs(d) {
+                let (start, len) = (run.start as usize, run.len as usize);
+                prop_assert!(
+                    len > 0 && end.is_none_or(|e| start > e),
+                    "row {d}: runs not ascending and coalesced: {:?}",
+                    index.row_runs(d)
+                );
+                covered[start..start + len].fill(true);
+                end = Some(start + len);
+            }
+            let nonzero: Vec<bool> = row.iter().map(|&v| v != 0).collect();
+            prop_assert_eq!(covered, nonzero, "row {}", d);
+        }
+        prop_assert_eq!(index.nnz(), data.iter().filter(|&&v| v != 0).count());
+        let occupied: Vec<usize> = (0..mz)
+            .filter(|&c| data.chunks_exact(mz).any(|row| row[c] != 0))
+            .collect();
+        prop_assert_eq!(index.occupied_columns(), &occupied[..]);
 
         let core = DeconvCore::new(&ims_prs::MSequence::new(degree), DeconvConfig::default());
-        let occupied = csr.occupied_columns();
-        let sparse = deconvolve_fixed_point(&core, &data, Some(&occupied), Workers::Threads(1));
+        let sparse = deconvolve_fixed_point(
+            &core,
+            &data,
+            Some(index.occupied_columns()),
+            Workers::Threads(1),
+        );
         prop_assert_eq!(core.deconvolve_block(&data, mz), sparse);
     }
 }

@@ -514,7 +514,9 @@ mod tests {
             data[d * mz_bins + 31] = ((d * 7 + 11) % 211) as u64;
         }
         data[20 * mz_bins + 44] = 3;
-        let sparse = crate::sparse::SparseBlock::from_dense(&data, n, mz_bins);
+        let sparse =
+            crate::SparseBlock::index_below(&data, n, mz_bins, crate::SPARSE_OCCUPANCY_THRESHOLD)
+                .expect("~6% occupied is sparse");
         let cols = sparse.occupied_columns();
         assert_eq!(cols, [7, 31, 44]);
         let core = DeconvCore::new(&seq, DeconvConfig::default());
@@ -529,7 +531,7 @@ mod tests {
         core.deconvolve_columns(
             &data,
             &mut rows_mut(&mut got, mz_bins),
-            Columns::List(&cols),
+            Columns::List(cols),
             FIXED_POINT_PANEL_WIDTH,
         );
         assert_eq!(dense, got);

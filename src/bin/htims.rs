@@ -1244,9 +1244,9 @@ fn chaos(mut args: Args) {
 /// * `batched` — [`BatchDeconvolver`] panels on one thread, by panel width;
 /// * `batched-parallel` — panel slabs distributed over the work-stealing
 ///   scheduler, by threads (`--threads 1,2,4` overrides the sweep);
-/// * `sparse-scalar` / `sparse-batched` / `sparse-skip` (with `--sparse`)
-///   — the same engines plus the CSR skip-zero path on a background-free
-///   block.
+/// * `sparse-scalar` / `sparse-skip` (with `--sparse`, fixed-point only)
+///   — the scalar-column baseline and the pipeline's skip-zero block path
+///   on a background-free block.
 ///
 /// All engines produce bit-identical output; only the schedule of the
 /// arithmetic differs. Outside the timed region each fixed-point row's
@@ -1430,10 +1430,8 @@ fn bench_deconv(mut args: Args) {
     }
 
     // Sparse rows (`--sparse`): a background-free acquisition of the same
-    // shape, so only the peptide peaks occupy cells. Each engine is timed
-    // against a scalar-column reference *on the sparse block*; the
-    // `sparse-skip` rows run the CSR skip-zero path (bit-identical to
-    // dense, priced per occupied column).
+    // shape, so only the peptide peaks occupy cells. `sparse-skip` is timed
+    // against a scalar-column reference *on the sparse block*.
     let mut sparse_occupancy = serde_json::Value::Null;
     if sparse_enabled {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -1463,35 +1461,10 @@ fn bench_deconv(mut args: Args) {
             occupancy * 100.0
         );
 
-        for method in [
-            Deconvolver::Weighted { lambda: 1e-6 },
-            Deconvolver::SimplexFast,
-        ] {
-            let name = match &method {
-                Deconvolver::Weighted { .. } => "weighted",
-                _ => "simplex-fast",
-            };
-            let solver = method.column_solver(&schedule, &sparse_data);
-            let scalar_secs = best_secs(repeats, || {
-                std::hint::black_box(apply_columnwise(&sparse_data.accumulated, |col| {
-                    solver(col)
-                }));
-            });
-            record(name, "sparse-scalar", 1, 1, scalar_secs, scalar_secs);
-            let engine = BatchDeconvolver::new(&method, &schedule, &sparse_data);
-            let width = engine.panel_width();
-            let secs = best_secs(repeats, || {
-                std::hint::black_box(engine.deconvolve_map(&sparse_data.accumulated));
-            });
-            record(name, "sparse-batched", 1, width, secs, scalar_secs);
-            let secs = best_secs(repeats, || {
-                std::hint::black_box(engine.deconvolve_map_sparse(&sparse_data.accumulated));
-            });
-            record(name, "sparse-skip", 1, width, secs, scalar_secs);
-        }
-
-        // Integer path: the pipeline's sparse block path, which reads the
-        // occupied columns from the CSR sidecar and walks only those.
+        // The pipeline's sparse block path, which reads the occupied
+        // columns from the block's run index and walks only those. The
+        // bench block sits above the pipeline's occupancy threshold, so
+        // it is indexed with no limit.
         let sparse_block: Vec<u64> = sparse_data
             .accumulated
             .data()
@@ -1509,8 +1482,9 @@ fn bench_deconv(mut args: Args) {
             scalar_secs,
             scalar_secs,
         );
-        let csr = htims::fpga::SparseBlock::from_dense(&sparse_block, n, mz_bins);
-        let sparse_skip = || fixed_point(&sparse_block, Some(&csr.occupied_columns()), 1);
+        let index = htims::fpga::SparseBlock::index_below(&sparse_block, n, mz_bins, f64::INFINITY)
+            .expect("no limit");
+        let sparse_skip = || fixed_point(&sparse_block, Some(index.occupied_columns()), 1);
         let secs = best_secs(repeats, || {
             std::hint::black_box(sparse_skip());
         });

@@ -54,7 +54,7 @@ pub struct GraphSpec {
     /// Watchdog stall timeout in milliseconds; `None` leaves the watchdog
     /// off (threaded executor only).
     pub stall_timeout_ms: Option<u64>,
-    /// When set, the accumulate stage attaches a CSR sidecar to
+    /// When set, the accumulate stage attaches a run index to
     /// low-occupancy blocks and FWHT-capable backends skip the empty
     /// columns (bit-identical output; `report.sparse_blocks` counts how
     /// many blocks took the sparse path).

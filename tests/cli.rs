@@ -180,3 +180,26 @@ fn a_manifest_whose_fault_spec_does_not_parse_is_refused_not_a_panic() {
     assert!(stderr.contains("bad fault spec in manifest"), "{stderr}");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
+
+#[test]
+fn a_manifest_nested_past_the_parser_bound_is_refused_not_a_stack_overflow() {
+    let dir = scratch("deep-manifest");
+    let capture = htims(
+        &dir,
+        &[
+            "pipeline",
+            "--capture-log",
+            "cap",
+            "--frames",
+            "4",
+            "--no-ledger",
+        ],
+    );
+    assert!(capture.status.success());
+    std::fs::write(dir.join("cap/manifest.json"), "[".repeat(60_000)).expect("rewrite manifest");
+    let replay = htims(&dir, &["pipeline", "--replay", "cap", "--no-ledger"]);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad capture manifest"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
