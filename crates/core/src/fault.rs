@@ -66,7 +66,8 @@ pub const SITES: &[&str] = &[
 /// `dma.bitflip` is a per-*bit* probability (each frame flips
 /// `rate × payload_bits` bits in expectation); `frame.drop` and
 /// `deconv.fail` are per-frame / per-block probabilities; `source.stall`
-/// takes a duration (`50ms`, `2s`, `1.5s`) and an optional `@probability`
+/// takes a duration in the grammar of [`ims_obs::parse_duration`]
+/// (`500us`, `50ms`, `2s`, `1.5`) and an optional `@probability`
 /// (default 1, i.e. every frame).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSpec {
@@ -109,7 +110,7 @@ impl FaultSpec {
                         None => (value, 1.0),
                     };
                     spec.source_stall = Some(StallSpec {
-                        duration: parse_duration(dur)
+                        duration: ims_obs::parse_duration(dur)
                             .ok_or_else(|| format!("fault `{site}`: bad duration `{dur}`"))?,
                         rate,
                     });
@@ -177,7 +178,7 @@ impl std::fmt::Display for FaultSpec {
     }
 }
 
-/// Renders a duration exactly, in seconds as [`parse_duration`] reads
+/// Renders a duration exactly, in seconds as [`ims_obs::parse_duration`] reads
 /// them: `2.5ms` is `0.0025s`. Parsing the rendering gives the duration
 /// back, because `Duration::try_from_secs_f64` rounds to the nearest
 /// nanosecond and the `f64` nearest the decimal lies within half a
@@ -202,20 +203,6 @@ fn parse_rate(site: &str, value: &str) -> Result<f64, String> {
         return Err(format!("fault `{site}`: rate {rate} outside [0, 1]"));
     }
     Ok(rate)
-}
-
-/// Parses `50ms` / `2s` / bare seconds (`1.5`) into a `Duration` — the
-/// one duration grammar of the fault spec and the command line. `None`
-/// for anything that is not a non-negative number of seconds a `Duration`
-/// can hold (negative, NaN, infinite, or too large).
-pub fn parse_duration(text: &str) -> Option<Duration> {
-    let t = text.trim();
-    let (number, scale) = match t.strip_suffix("ms") {
-        Some(ms) => (ms, 1e-3),
-        None => (t.strip_suffix('s').unwrap_or(t), 1.0),
-    };
-    let secs: f64 = number.trim().parse().ok()?;
-    Duration::try_from_secs_f64(secs * scale).ok()
 }
 
 /// Counts of injected faults from one run, folded into the
@@ -653,6 +640,28 @@ mod tests {
             FaultSpec::parse("source.stall=1e30").is_err(),
             "duration overflows"
         );
+        for bad in [
+            "source.stall=-1ms",
+            "source.stall=NaN",
+            "source.stall=infs@0.5",
+        ] {
+            assert!(FaultSpec::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn stall_durations_read_the_one_duration_grammar() {
+        for (text, d) in [
+            ("source.stall=500us@0.5", Duration::from_micros(500)),
+            ("source.stall=500µs", Duration::from_micros(500)),
+            ("source.stall=2.5ms", Duration::from_micros(2500)),
+            ("source.stall=750ns", Duration::from_nanos(750)),
+            ("source.stall=1.5", Duration::from_millis(1500)),
+        ] {
+            let spec = FaultSpec::parse(text).unwrap();
+            assert_eq!(spec.source_stall.unwrap().duration, d, "{text}");
+            assert_eq!(FaultSpec::parse(&spec.to_string()).unwrap(), spec, "{text}");
+        }
     }
 
     #[test]

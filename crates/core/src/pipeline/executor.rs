@@ -11,12 +11,15 @@
 //! [`Pipeline::spawn_on`] submits without waiting, which is what the
 //! session multiplexer uses to run many graphs on one pool.
 //!
-//! Every executor is instrumented with `ims_obs`: stage iterations open
-//! spans (category = stage name, or `stage@session` for labeled tenants),
-//! input-queue depths are sampled into gauges and Chrome counter tracks,
-//! and per-item processing latency feeds a histogram per stage (always
-//! on; a handful of relaxed atomics per *item*, where items are frames or
-//! blocks).
+//! Both executors are instrumented through one boundary recorder per node
+//! ([`StageMeter`], built by [`Pipeline::arm`]): each message entering a
+//! node, each timed `process`/`flush` call and each message leaving a
+//! node is one recorder call that feeds every consumer — the run report,
+//! the registry series, the span (category = stage name, or
+//! `stage@session` for labeled tenants) and the flight ring. Under the
+//! threaded executor, ingress also samples the inbox depth into a gauge
+//! and a Chrome counter track. Always on: a handful of relaxed atomics
+//! per *item*, where items are frames or blocks.
 //!
 //! # Supervision
 //!
@@ -43,9 +46,9 @@ use super::error::{PipelineError, RunOutcome, SupervisorConfig};
 use super::report::{PipelineReport, StageReport};
 use super::sched::{self, ScheduledRun, Scheduler};
 use super::stages::FrameSource;
-use super::{flight_event, DeconvolvedBlock, Message, ObsTap, Stage};
+use super::{Block, DeconvolvedBlock, Message, ObsTap, Stage};
 use crate::fault::FaultInjector;
-use ims_obs::FlightRecorder;
+use ims_obs::{FlightKind, FlightRecorder};
 use std::time::{Duration, Instant};
 
 /// Ring shards the per-run flight recorder keeps (threads hash onto
@@ -56,13 +59,9 @@ const FLIGHT_SHARDS: usize = 8;
 const FLIGHT_CAPACITY: usize = 1024;
 
 /// The always-on flight-recorder wiring of one pipeline run: the shared
-/// ring recorder, the per-node label indices (filled at arm time, in
-/// pipeline order), and the dump/SLO configuration.
+/// ring recorder and the dump/SLO configuration.
 pub(super) struct FlightConfig {
     pub(super) recorder: FlightRecorder,
-    /// Label index per node: `labels[0]` is the source, `labels[i + 1]`
-    /// stage `i`. Filled by [`Pipeline::arm`].
-    pub(super) labels: Vec<u16>,
     /// Where to write `flight_<fingerprint>.jsonl` when the run ends
     /// badly; `None` records to the rings but never touches disk.
     pub(super) dump_dir: Option<std::path::PathBuf>,
@@ -76,7 +75,6 @@ impl Default for FlightConfig {
     fn default() -> Self {
         Self {
             recorder: FlightRecorder::new(FLIGHT_SHARDS, FLIGHT_CAPACITY),
-            labels: Vec::new(),
             dump_dir: None,
             fingerprint: "run".to_string(),
             latency_slo_ns: None,
@@ -209,15 +207,19 @@ impl Pipeline {
     }
 
     /// Distributes the injector, policy, and flight-recorder taps to the
-    /// source and stages. Flight labels register in pipeline order
-    /// (source, then stages, then — via the injector — fault sites), so
-    /// label indices are deterministic for a given graph shape.
-    pub(super) fn arm(&mut self) {
+    /// source and stages, and builds each node's boundary recorder: one
+    /// [`StageMeter`] per node, source first, that both executors drive.
+    /// Flight labels register in pipeline order (source, then stages,
+    /// then — via the injector — fault sites), so label indices are
+    /// deterministic for a given graph shape. `concurrent` gives each
+    /// stage's meter its `pipeline.queue_depth.*` gauge: only the threaded
+    /// executor has inboxes.
+    pub(super) fn arm(&mut self, concurrent: bool) -> Vec<StageMeter> {
         let rec = self.flight.recorder.clone();
-        let mut labels = vec![rec.register("source")];
-        for stage in &self.stages {
-            labels.push(rec.register(stage.name()));
-        }
+        let names: Vec<&'static str> = std::iter::once("source")
+            .chain(self.stages.iter().map(|s| s.name()))
+            .collect();
+        let labels: Vec<u16> = names.iter().map(|name| rec.register(name)).collect();
         if let Some(inj) = &self.injector {
             self.source.set_checked(true);
             for stage in &mut self.stages {
@@ -245,7 +247,15 @@ impl Pipeline {
                 session: self.session,
             });
         }
-        self.flight.labels = labels;
+        names
+            .into_iter()
+            .zip(labels)
+            .enumerate()
+            .map(|(node, (name, label))| {
+                let queued = concurrent && node > 0;
+                StageMeter::new(name, self.session, (rec.clone(), label), queued)
+            })
+            .collect()
     }
 
     /// Runs the graph concurrently — source and stages as tasks on the
@@ -267,61 +277,31 @@ impl Pipeline {
 
     /// Runs the graph sequentially on the calling thread — the software
     /// reference executor. Bit-identical to [`run_threaded`](Self::run_threaded)
-    /// because it drives the same stages over the same integer datapath.
+    /// because it drives the same stages over the same integer datapath,
+    /// through the same source step and boundary recorder.
     /// Fault injection works here too (same deterministic decisions, since
     /// they depend only on `(seed, site, index)`), but supervision does
     /// not: the inline executor is the *reference*, so a stage panic
     /// propagates and no watchdog runs.
     pub fn run_inline(mut self) -> PipelineOutput {
         assert!(!self.stages.is_empty(), "pipeline has no stages");
-        self.arm();
+        let mut meters = self.arm(false);
         let start = Instant::now();
-        let injector = self.injector.clone();
         let mut stages = std::mem::take(&mut self.stages);
-        let mut meters: Vec<StageMeter> = std::iter::once(StageMeter::new("source"))
-            .chain(stages.iter().map(|s| StageMeter::new(s.name())))
-            .collect();
-        for (meter, &label) in meters.iter_mut().zip(&self.flight.labels) {
-            meter.flight = Some((self.flight.recorder.clone(), label));
-        }
-
         let mut blocks = Vec::new();
         let frames = self.source.frames();
         for i in 0..frames {
-            if let Some(inj) = &injector {
-                if let Some(stall) = inj.stall_duration(i) {
-                    if !inj.stall(stall) {
-                        break;
-                    }
-                }
-                if inj.drop_frame(i) {
-                    continue;
-                }
+            match source_step(&self.source, self.injector.as_ref(), &mut meters[0], i) {
+                SourceStep::Emit(msg) => pass_on(&mut stages, &mut meters, 0, msg, &mut blocks),
+                SourceStep::Dropped => {}
+                SourceStep::Stopped => break,
             }
-            let t = Instant::now();
-            let packet = {
-                let _sp = ims_obs::span_cat("source", "process");
-                self.source.packet(i)
-            };
-            let gen = t.elapsed();
-            meters[0].busy += gen;
-            meters[0].record_latency(gen);
-            meters[0].items_out += 1;
-            meters[0].record_flight(ims_obs::FlightKind::FrameEgress, packet.seq_no);
-            feed(
-                &mut stages,
-                &mut meters[1..],
-                0,
-                Message::Frame(packet),
-                &mut blocks,
-            );
         }
         for i in 0..stages.len() {
             let mut emitted = Vec::new();
-            stages[i].flush(&mut |m| emitted.push(m));
-            meters[i + 1].items_out += emitted.len() as u64;
+            meters[i + 1].flush(stages[i].as_mut(), &mut |m| emitted.push(m));
             for m in emitted {
-                feed(&mut stages, &mut meters[1..], i + 1, m, &mut blocks);
+                pass_on(&mut stages, &mut meters, i + 1, m, &mut blocks);
             }
         }
 
@@ -461,51 +441,88 @@ pub(super) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Pushes `msg` into stage `idx`, cascading emissions depth-first; messages
-/// that fall off the end of the chain are collected as output blocks.
-fn feed(
+/// Sends `msg` out of node `from` (0 = the source, `i + 1` = stage `i`)
+/// and on down the chain depth-first: the node's egress, then the next
+/// stage's ingress and `process` call, whose emissions follow the same
+/// way. What leaves the last stage is an output block.
+fn pass_on(
     stages: &mut [Box<dyn Stage>],
     meters: &mut [StageMeter],
-    idx: usize,
+    from: usize,
     msg: Message,
     out: &mut Vec<DeconvolvedBlock>,
 ) {
-    if idx == stages.len() {
+    meters[from].egress(&msg, ims_obs::trace::now_ns());
+    let Some(stage) = stages.get_mut(from) else {
         if let Message::Deconvolved(b) = msg {
             out.push(b);
         }
         return;
-    }
-    meters[idx].items_in += 1;
-    let (kind, item) = flight_event(&msg, false);
-    meters[idx].record_flight(kind, item);
+    };
+    let meter = &mut meters[from + 1];
+    meter.ingress(&msg, None);
     let mut emitted = Vec::new();
-    let t = Instant::now();
-    {
-        let _sp = ims_obs::span_cat(meters[idx].name, "process");
-        stages[idx].process(msg, &mut |m| emitted.push(m));
-    }
-    let took = t.elapsed();
-    meters[idx].busy += took;
-    meters[idx].record_latency(took);
-    meters[idx].refresh_cells(stages[idx].as_ref());
-    meters[idx].items_out += emitted.len() as u64;
+    meter.process(stage.as_mut(), msg, &mut |m| emitted.push(m));
     for m in emitted {
-        let (kind, item) = flight_event(&m, true);
-        meters[idx].record_flight(kind, item);
-        feed(stages, meters, idx + 1, m, out);
+        pass_on(stages, meters, from + 1, m, out);
     }
 }
 
-/// Accumulates one stage's timing while its task runs.
+/// What one [`source_step`] did with its frame.
+pub(super) enum SourceStep {
+    /// The frame's packet, ready to leave the source.
+    Emit(Message),
+    /// The `frame.drop` site consumed the frame.
+    Dropped,
+    /// An injected stall was cancelled by the watchdog: the source stops.
+    Stopped,
+}
+
+/// One source step, the same on both executors: frame `i`'s source-side
+/// fault sites (`source.stall` sleeps on the calling thread, modelling a
+/// wedged producer; `frame.drop`), then the metered generation of its
+/// packet.
+pub(super) fn source_step(
+    source: &FrameSource,
+    injector: Option<&FaultInjector>,
+    meter: &mut StageMeter,
+    i: u64,
+) -> SourceStep {
+    if let Some(inj) = injector {
+        if let Some(stall) = inj.stall_duration(i) {
+            if !inj.stall(stall) {
+                return SourceStep::Stopped;
+            }
+        }
+        if inj.drop_frame(i) {
+            return SourceStep::Dropped;
+        }
+    }
+    SourceStep::Emit(meter.generate(source, i))
+}
+
+/// One node's boundary recorder, built once per node by
+/// [`Pipeline::arm`] and driven the same way by both executors. A
+/// boundary is a message entering the node ([`ingress`](Self::ingress)),
+/// the timed call on it ([`process`](Self::process),
+/// [`flush`](Self::flush), or the source's [`generate`](Self::generate)),
+/// or a message leaving it ([`egress`](Self::egress)). Each is one call,
+/// and that call feeds every consumer: the run-local counters and latency
+/// histogram (the [`StageReport`]), the registry series (`/metrics`, the
+/// sampler), the span (the trace) and the flight ring (the black box).
 pub(super) struct StageMeter {
     pub(super) name: &'static str,
-    pub(super) items_in: u64,
-    pub(super) items_out: u64,
-    pub(super) busy: Duration,
+    /// Span/trace category: the node name, or `name@session` for a
+    /// multiplexer tenant, interned so each tenant gets its own track.
+    cat: &'static str,
+    items_in: u64,
+    items_out: u64,
+    busy: Duration,
+    /// Time spent waiting on an empty inbox / a full downstream inbox;
+    /// kept by the threaded executor's poll loop.
     pub(super) blocked_recv: Duration,
     pub(super) blocked_send: Duration,
-    pub(super) queue_high_water: u64,
+    queue_high_water: u64,
     /// Per-item processing latency for this run (feeds the report).
     latency: ims_obs::Histogram,
     /// Same samples in the global registry (feeds metrics snapshots),
@@ -521,23 +538,33 @@ pub(super) struct StageMeter {
     cells_reg: &'static ims_obs::Counter,
     /// Cells already pushed to `cells_reg` (stages report totals).
     cells_pushed: u64,
+    /// Inbox depth gauge (`pipeline.queue_depth.<stage>`): stage nodes of
+    /// the threaded executor only, the one executor with inboxes.
+    queue_gauge: Option<&'static ims_obs::Gauge>,
     /// This node's tap into the run's flight recorder: the shared rings
-    /// plus the node's label index. `None` only for meters built outside
-    /// an armed pipeline (e.g. unit tests driving a meter directly).
-    pub(super) flight: Option<(FlightRecorder, u16)>,
+    /// plus the node's label index.
+    flight: (FlightRecorder, u16),
 }
 
 impl StageMeter {
-    pub(super) fn new(name: &'static str) -> Self {
-        Self::with_session(name, None)
-    }
-
     /// A meter whose registry series carry the session's label suffix
-    /// (none for single-session runs, keeping the PR-4 metric names
-    /// byte-stable).
-    pub(super) fn with_session(name: &'static str, session: Option<&'static str>) -> Self {
+    /// (none for single-session runs, whose metric names stay unsuffixed).
+    fn new(
+        name: &'static str,
+        session: Option<&'static str>,
+        flight: (FlightRecorder, u16),
+        queued: bool,
+    ) -> Self {
+        let metric = |prefix: &str| match session {
+            Some(s) => format!("{prefix}.{name}#session={s}"),
+            None => format!("{prefix}.{name}"),
+        };
         Self {
             name,
+            cat: match session {
+                Some(s) => ims_obs::intern(&format!("{name}@{s}")),
+                None => name,
+            },
             items_in: 0,
             items_out: 0,
             busy: Duration::ZERO,
@@ -545,58 +572,78 @@ impl StageMeter {
             blocked_send: Duration::ZERO,
             queue_high_water: 0,
             latency: ims_obs::Histogram::new(),
-            latency_reg: ims_obs::metrics::histogram(&Self::metric_name(
-                "pipeline.stage_latency_ns",
-                name,
-                session,
-            )),
-            items_reg: ims_obs::metrics::counter(&Self::metric_name(
-                "pipeline.items_total",
-                name,
-                session,
-            )),
-            cells_reg: ims_obs::metrics::counter(&Self::metric_name(
-                "pipeline.cells_total",
-                name,
-                session,
-            )),
+            latency_reg: ims_obs::metrics::histogram(&metric("pipeline.stage_latency_ns")),
+            items_reg: ims_obs::metrics::counter(&metric("pipeline.items_total")),
+            cells_reg: ims_obs::metrics::counter(&metric("pipeline.cells_total")),
             cells_pushed: 0,
-            flight: None,
+            queue_gauge: queued.then(|| ims_obs::metrics::gauge(&metric("pipeline.queue_depth"))),
+            flight,
         }
     }
 
-    /// Records one ingress/egress event for this node into the run's
-    /// flight recorder (no-op for meters without a tap).
-    #[inline]
-    pub(super) fn record_flight(&self, kind: ims_obs::FlightKind, item: u64) {
-        if let Some((rec, label)) = &self.flight {
-            rec.record(*label, kind, item);
+    /// A message entering the node. `depth` is the depth of the inbox it
+    /// was popped from, before the pop (`None` on the inline executor,
+    /// which has no inboxes).
+    pub(super) fn ingress(&mut self, msg: &Message, depth: Option<usize>) {
+        if let (Some(depth), Some(gauge)) = (depth, self.queue_gauge) {
+            self.queue_high_water = self.queue_high_water.max(depth as u64);
+            gauge.set(depth as u64);
+            ims_obs::counter_sample("queue-depth", self.cat, depth as f64);
         }
+        self.items_in += 1;
+        self.record(msg, false, ims_obs::trace::now_ns());
     }
 
-    /// [`record_flight`](Self::record_flight) with an explicit timestamp.
-    /// The concurrent executors stamp egress *before* offering the message
-    /// downstream, so an egress timestamp always precedes the matching
-    /// downstream ingress — the invariant that keeps causal chains (which
-    /// sort by timestamp) deterministic across runs.
-    #[inline]
-    pub(super) fn record_flight_at(&self, kind: ims_obs::FlightKind, item: u64, ts_ns: u64) {
-        if let Some((rec, label)) = &self.flight {
-            rec.record_at(*label, kind, item, ts_ns);
-        }
+    /// A message leaving the node, stamped `ts_ns`. The threaded executor
+    /// stamps before offering the message downstream, so an egress
+    /// timestamp always precedes the matching downstream ingress — the
+    /// invariant that keeps causal chains (which sort by timestamp)
+    /// deterministic across runs.
+    pub(super) fn egress(&mut self, msg: &Message, ts_ns: u64) {
+        self.items_out += 1;
+        self.record(msg, true, ts_ns);
     }
 
-    /// `prefix.stage`, plus the `#session=<label>` suffix the exporter
-    /// turns into a Prometheus label when the run belongs to a session.
-    pub(super) fn metric_name(prefix: &str, stage: &str, session: Option<&'static str>) -> String {
-        match session {
-            Some(s) => format!("{prefix}.{stage}#session={s}"),
-            None => format!("{prefix}.{stage}"),
-        }
+    /// The timed `process` call: one item's span, busy time and latency.
+    pub(super) fn process(
+        &mut self,
+        stage: &mut dyn Stage,
+        msg: Message,
+        emit: &mut dyn FnMut(Message),
+    ) {
+        let ((), took) = self.timed("process", || stage.process(msg, emit));
+        self.record_latency(took);
+        self.refresh_cells(stage);
+    }
+
+    /// The timed `flush` call: its span and busy time. A flush is not an
+    /// item, so it adds no latency sample.
+    pub(super) fn flush(&mut self, stage: &mut dyn Stage, emit: &mut dyn FnMut(Message)) {
+        self.timed("flush", || stage.flush(emit));
+        self.refresh_cells(stage);
+    }
+
+    /// The source's timed call: generating frame `i`'s packet.
+    fn generate(&mut self, source: &FrameSource, i: u64) -> Message {
+        let (packet, took) = self.timed("process", || source.packet(i));
+        self.record_latency(took);
+        Message::Frame(packet)
+    }
+
+    /// Runs `call` under a span named `what`, adding its time to `busy`.
+    fn timed<R>(&mut self, what: &'static str, call: impl FnOnce() -> R) -> (R, Duration) {
+        let t = Instant::now();
+        let out = {
+            let _sp = ims_obs::span_cat(self.cat, what);
+            call()
+        };
+        let took = t.elapsed();
+        self.busy += took;
+        (out, took)
     }
 
     /// Records one item's processing latency (run-local and registry).
-    pub(super) fn record_latency(&mut self, d: Duration) {
+    fn record_latency(&mut self, d: Duration) {
         self.latency.record_duration(d);
         self.latency_reg.record_duration(d);
         self.items_reg.incr();
@@ -604,10 +651,28 @@ impl StageMeter {
 
     /// Pushes the stage's cell-count growth since the last refresh into
     /// the registry, so mid-run samples carry cell throughput.
-    pub(super) fn refresh_cells(&mut self, stage: &dyn Stage) {
+    fn refresh_cells(&mut self, stage: &dyn Stage) {
         let total = stage.cells_processed();
         self.cells_reg.add(total.saturating_sub(self.cells_pushed));
         self.cells_pushed = total;
+    }
+
+    /// Writes a boundary event into the flight ring. Frames key on
+    /// `seq_no` (the frame id); blocks — accumulated or deconvolved — on
+    /// their block index.
+    fn record(&self, msg: &Message, egress: bool, ts_ns: u64) {
+        let (item, [entered, left]) = match msg {
+            Message::Frame(p) => (
+                p.seq_no,
+                [FlightKind::FrameIngress, FlightKind::FrameEgress],
+            ),
+            Message::Block(Block { index, .. })
+            | Message::Deconvolved(DeconvolvedBlock { index, .. }) => {
+                (*index, [FlightKind::BlockIngress, FlightKind::BlockEgress])
+            }
+        };
+        let (recorder, label) = &self.flight;
+        recorder.record_at(*label, if egress { left } else { entered }, item, ts_ns);
     }
 
     /// Converts to the serializable report. The blocked/queue fields are

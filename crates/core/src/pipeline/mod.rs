@@ -150,8 +150,8 @@ pub trait Stage: Send {
     /// Hands this stage its tap into the run's flight recorder (and the
     /// latency-SLO wiring that rides along). Called once per stage by
     /// every executor before the run starts; the default is a no-op, so
-    /// stages with no internal events to record need no changes — the
-    /// executors already record ingress/egress for every node.
+    /// stages with no internal events to record need no changes — each
+    /// node's boundary recorder already records its ingress and egress.
     fn arm_obs(&mut self, _tap: &ObsTap) {}
 }
 
@@ -189,37 +189,5 @@ impl std::fmt::Debug for ObsTap {
             .field("label", &self.label)
             .field("latency_slo_ns", &self.latency_slo_ns)
             .finish_non_exhaustive()
-    }
-}
-
-/// The flight-recorder classification of a message at a node boundary:
-/// `(kind, item id)`. Frames key on `seq_no` (the frame id); blocks —
-/// accumulated or deconvolved — on their block index.
-pub(super) fn flight_event(msg: &Message, egress: bool) -> (FlightKind, u64) {
-    match msg {
-        Message::Frame(p) => (
-            if egress {
-                FlightKind::FrameEgress
-            } else {
-                FlightKind::FrameIngress
-            },
-            p.seq_no,
-        ),
-        Message::Block(b) => (
-            if egress {
-                FlightKind::BlockEgress
-            } else {
-                FlightKind::BlockIngress
-            },
-            b.index,
-        ),
-        Message::Deconvolved(b) => (
-            if egress {
-                FlightKind::BlockEgress
-            } else {
-                FlightKind::BlockIngress
-            },
-            b.index,
-        ),
     }
 }

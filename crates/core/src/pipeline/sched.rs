@@ -45,12 +45,12 @@
 
 use super::error::PipelineError;
 use super::executor::{
-    finish_report, maybe_dump_flight, panic_message, FlightConfig, Pipeline, PipelineOutput,
-    StageMeter,
+    finish_report, maybe_dump_flight, panic_message, source_step, FlightConfig, Pipeline,
+    PipelineOutput, SourceStep, StageMeter,
 };
 use super::report::PipelineReport;
 use super::stages::FrameSource;
-use super::{flight_event, DeconvolvedBlock, Message, Stage};
+use super::{DeconvolvedBlock, Message, Stage};
 use crate::fault::FaultInjector;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -607,8 +607,6 @@ struct Node {
     state: AtomicU8,
     /// 0 = source, `i + 1` = stage `i`; indexes `progress`/`done`.
     index: usize,
-    /// Span/trace category: the stage name, or `stage@session`.
-    cat: &'static str,
     /// Profiler tag (`session, stage, -`) workers publish while polling
     /// this node (see [`ims_obs::prof`]).
     prof_tag: u32,
@@ -623,238 +621,194 @@ struct Node {
     run: Arc<RunCore>,
 }
 
-enum Body {
-    Source(SourceBody),
-    Stage(StageBody),
-}
-
-struct SourceBody {
-    source: Arc<FrameSource>,
-    frames: u64,
-    next: u64,
-    /// A generated frame the full downstream inbox refused.
-    stalled: Option<Message>,
+/// A node's state, behind its lock while a worker polls it.
+struct Body {
+    /// The node's boundary recorder.
     meter: StageMeter,
-    panic: Option<String>,
-    blocked_send_since: Option<Instant>,
-    finished: bool,
-}
-
-struct StageBody {
-    stage: Box<dyn Stage>,
-    meter: StageMeter,
-    queue_gauge: &'static ims_obs::Gauge,
-    /// Emitted messages awaiting downstream credit.
+    /// Messages awaiting downstream credit: the source's generated
+    /// frame, or a stage's emissions.
     outbox: VecDeque<Message>,
-    poisoned: Option<String>,
-    flushed: bool,
     blocked_send_since: Option<Instant>,
-    blocked_recv_since: Option<Instant>,
+    /// The caught panic that poisoned this node: a poisoned source stops
+    /// producing, a poisoned stage drains its inbox without processing.
+    panic: Option<String>,
     finished: bool,
+    work: Work,
+}
+
+/// What a node runs: the frame source, or one stage.
+enum Work {
+    Source {
+        source: FrameSource,
+        frames: u64,
+        next: u64,
+    },
+    Stage {
+        stage: Box<dyn Stage>,
+        flushed: bool,
+        blocked_recv_since: Option<Instant>,
+    },
 }
 
 impl Node {
     fn poll(self: &Arc<Self>) -> Poll {
         let mut guard = lock(&self.body);
-        let Some(body) = guard.as_mut() else {
-            return Poll::Complete;
-        };
-        match body {
-            Body::Source(s) => self.poll_source(s),
-            Body::Stage(s) => self.poll_stage(s),
+        match guard.as_mut() {
+            Some(b) if !b.finished => match b.work {
+                Work::Source { .. } => self.poll_source(b),
+                Work::Stage { .. } => self.poll_stage(b),
+            },
+            _ => Poll::Complete,
         }
     }
 
-    fn poll_source(&self, s: &mut SourceBody) -> Poll {
-        if s.finished {
-            return Poll::Complete;
-        }
+    fn poll_source(&self, b: &mut Body) -> Poll {
         let run = &self.run;
         let mut budget = QUANTUM;
         loop {
-            if let Some(msg) = s.stalled.take() {
-                let (kind, item) = flight_event(&msg, true);
-                let ts = ims_obs::trace::now_ns();
-                match self.push_downstream(msg) {
-                    Ok(()) => {
-                        if let Some(t) = s.blocked_send_since.take() {
-                            s.meter.blocked_send += t.elapsed();
-                        }
-                        s.meter.items_out += 1;
-                        s.meter.record_flight_at(kind, item, ts);
-                        run.progress[0].fetch_add(1, Relaxed);
-                    }
-                    Err(msg) => {
-                        s.stalled = Some(msg);
-                        s.blocked_send_since.get_or_insert_with(Instant::now);
-                        return Poll::Pending;
-                    }
-                }
+            if !self.drain(b) {
+                return Poll::Pending;
             }
-            if s.panic.is_some() || run.cancel.load(Relaxed) || s.next >= s.frames {
-                s.finished = true;
-                run.done[0].store(true, Relaxed);
-                self.close_downstream();
-                return Poll::Complete;
+            let Work::Source {
+                source,
+                frames,
+                next,
+            } = &mut b.work
+            else {
+                unreachable!("a source node runs the source")
+            };
+            if b.panic.is_some() || run.cancel.load(Relaxed) || *next >= *frames {
+                return self.finish(b);
             }
             if budget == 0 {
                 return Poll::Yield;
             }
             budget -= 1;
-            let i = s.next;
-            if let Some(inj) = &run.injector {
-                if let Some(stall) = inj.stall_duration(i) {
-                    // The injected stall sleeps on the worker (it models
-                    // a wedged producer); the watchdog's cancel breaks it
-                    // mid-sleep, after which the source stops producing —
-                    // exactly the dedicated-thread source's `break`.
-                    if !inj.stall(stall) {
-                        s.next = s.frames;
-                        continue;
-                    }
-                }
-                if inj.drop_frame(i) {
-                    s.next = i + 1;
-                    run.progress[0].fetch_add(1, Relaxed);
-                    continue;
-                }
-            }
-            let t = Instant::now();
-            let source = s.source.clone();
-            let cat = self.cat;
+            let i = *next;
+            *next = i + 1;
+            let meter = &mut b.meter;
+            // An injected stall sleeps on this worker; the watchdog's
+            // cancel breaks it mid-sleep, and the source stops.
             match catch_unwind(AssertUnwindSafe(|| {
-                let _sp = ims_obs::span_cat(cat, "process");
-                source.packet(i)
+                source_step(source, run.injector.as_ref(), meter, i)
             })) {
-                Ok(packet) => {
-                    let gen = t.elapsed();
-                    s.meter.busy += gen;
-                    s.meter.record_latency(gen);
-                    s.stalled = Some(Message::Frame(packet));
-                    s.next = i + 1;
+                Ok(SourceStep::Emit(msg)) => b.outbox.push_back(msg),
+                Ok(SourceStep::Dropped) => {
+                    run.progress[0].fetch_add(1, Relaxed);
                 }
-                Err(payload) => s.panic = Some(panic_message(payload)),
+                Ok(SourceStep::Stopped) => *next = *frames,
+                Err(payload) => b.panic = Some(panic_message(payload)),
             }
         }
     }
 
-    fn poll_stage(&self, b: &mut StageBody) -> Poll {
-        if b.finished {
-            return Poll::Complete;
-        }
+    fn poll_stage(&self, b: &mut Body) -> Poll {
         let run = &self.run;
-        let idx = self.index;
         let inbox = self.inbox.as_ref().expect("stage nodes have an inbox");
         let mut budget = QUANTUM;
         loop {
             // 1. Drain the outbox first: downstream credit gates input.
-            while let Some(msg) = b.outbox.pop_front() {
-                let (kind, item) = flight_event(&msg, true);
-                // Egress timestamps are taken before the push: a fast
-                // downstream may record its ingress the instant the push
-                // lands, and chains sort by timestamp.
-                let ts = ims_obs::trace::now_ns();
-                match self.push_downstream(msg) {
-                    Ok(()) => {
-                        b.meter.items_out += 1;
-                        b.meter.record_flight_at(kind, item, ts);
-                    }
-                    Err(msg) => {
-                        b.outbox.push_front(msg);
-                        b.blocked_send_since.get_or_insert_with(Instant::now);
-                        return Poll::Pending;
-                    }
-                }
+            if !self.drain(b) {
+                return Poll::Pending;
             }
-            if let Some(t) = b.blocked_send_since.take() {
-                b.meter.blocked_send += t.elapsed();
-            }
+            let Work::Stage {
+                stage,
+                flushed,
+                blocked_recv_since,
+            } = &mut b.work
+            else {
+                unreachable!("a stage node runs a stage")
+            };
+            let (meter, outbox) = (&mut b.meter, &mut b.outbox);
             // 2. One input message.
             let (popped, closed, depth) = inbox.pop();
             match popped {
                 Some(msg) => {
-                    b.meter.queue_high_water = b.meter.queue_high_water.max(depth as u64);
-                    b.queue_gauge.set(depth as u64);
-                    ims_obs::counter_sample("queue-depth", self.cat, depth as f64);
-                    if let Some(t) = b.blocked_recv_since.take() {
-                        b.meter.blocked_recv += t.elapsed();
+                    if let Some(t) = blocked_recv_since.take() {
+                        meter.blocked_recv += t.elapsed();
                     }
-                    b.meter.items_in += 1;
-                    {
-                        let (kind, item) = flight_event(&msg, false);
-                        b.meter.record_flight(kind, item);
-                    }
+                    meter.ingress(&msg, Some(depth));
                     if depth == inbox.capacity {
                         // full → not-full edge: give upstream its credit
                         self.wake_upstream();
                     }
-                    if b.poisoned.is_some() {
-                        // Drain-only mode: keep consuming so upstream
-                        // never wedges on a full inbox, process nothing.
-                        run.progress[idx].fetch_add(1, Relaxed);
-                    } else {
-                        let StageBody { stage, outbox, .. } = b;
-                        let cat = self.cat;
-                        let t = Instant::now();
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            let _sp = ims_obs::span_cat(cat, "process");
-                            stage.process(msg, &mut |m| outbox.push_back(m));
-                        }));
-                        match caught {
-                            Ok(()) => {
-                                let took = t.elapsed();
-                                b.meter.busy += took;
-                                b.meter.record_latency(took);
-                                b.meter.refresh_cells(b.stage.as_ref());
-                            }
-                            Err(p) => b.poisoned = Some(panic_message(p)),
+                    // A poisoned stage keeps consuming so upstream never
+                    // wedges on a full inbox, but processes nothing.
+                    if b.panic.is_none() {
+                        if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
+                            meter.process(stage.as_mut(), msg, &mut |m| outbox.push_back(m))
+                        })) {
+                            b.panic = Some(panic_message(p));
                         }
-                        run.progress[idx].fetch_add(1, Relaxed);
                     }
+                    run.progress[self.index].fetch_add(1, Relaxed);
                     if budget == 0 {
                         return Poll::Yield;
                     }
                     budget -= 1;
                 }
                 None if closed => {
-                    if b.poisoned.is_none() && !b.flushed {
-                        b.flushed = true;
-                        let StageBody { stage, outbox, .. } = b;
-                        let cat = self.cat;
-                        let t = Instant::now();
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            let _sp = ims_obs::span_cat(cat, "flush");
-                            stage.flush(&mut |m| outbox.push_back(m));
-                        }));
-                        match caught {
-                            Ok(()) => {
-                                b.meter.busy += t.elapsed();
-                                b.meter.refresh_cells(b.stage.as_ref());
-                            }
-                            Err(p) => b.poisoned = Some(panic_message(p)),
+                    if b.panic.is_none() && !*flushed {
+                        *flushed = true;
+                        if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
+                            meter.flush(stage.as_mut(), &mut |m| outbox.push_back(m))
+                        })) {
+                            b.panic = Some(panic_message(p));
                         }
                         continue; // drain whatever flush emitted
                     }
-                    b.finished = true;
-                    run.done[idx].store(true, Relaxed);
-                    self.close_downstream();
-                    return Poll::Complete;
+                    return self.finish(b);
                 }
                 None => {
-                    b.blocked_recv_since.get_or_insert_with(Instant::now);
+                    blocked_recv_since.get_or_insert_with(Instant::now);
                     return Poll::Pending;
                 }
             }
         }
     }
 
+    /// Sends the outbox downstream in order, each message's egress
+    /// recorded as it lands; `false` when downstream refused one (out of
+    /// credit), which stays at the front of the outbox. Egress timestamps
+    /// are taken before the push: a fast downstream may record its
+    /// ingress the instant the push lands, and chains sort by timestamp.
+    fn drain(&self, b: &mut Body) -> bool {
+        while let Some(msg) = b.outbox.pop_front() {
+            let ts = ims_obs::trace::now_ns();
+            let meter = &mut b.meter;
+            if let Err(msg) = self.push_downstream(msg, |m| meter.egress(m, ts)) {
+                b.outbox.push_front(msg);
+                b.blocked_send_since.get_or_insert_with(Instant::now);
+                return false;
+            }
+            if self.inbox.is_none() {
+                // The source's progress is frames handed off; a stage's
+                // is inputs taken.
+                self.run.progress[0].fetch_add(1, Relaxed);
+            }
+        }
+        if let Some(t) = b.blocked_send_since.take() {
+            b.meter.blocked_send += t.elapsed();
+        }
+        true
+    }
+
+    /// Marks the node finished and closes its output.
+    fn finish(&self, b: &mut Body) -> Poll {
+        b.finished = true;
+        self.run.done[self.index].store(true, Relaxed);
+        self.close_downstream();
+        Poll::Complete
+    }
+
     /// Offers a message downstream; `Err(msg)` hands it back when the
-    /// inbox is out of credits. The last stage's output lands in the
-    /// run's sink (unbounded, like the threaded collector).
+    /// inbox is out of credits. `sent` sees the message just before it
+    /// lands. The last stage's output lands in the run's sink (unbounded,
+    /// like the threaded collector).
     // `Err` is the rejected message itself, returned by value so the
     // caller can retry without an allocation — not an error payload.
     #[allow(clippy::result_large_err)]
-    fn push_downstream(&self, msg: Message) -> Result<(), Message> {
+    fn push_downstream(&self, msg: Message, sent: impl FnOnce(&Message)) -> Result<(), Message> {
         match &self.downstream {
             Some(next) => {
                 let inbox = next.inbox.as_ref().expect("downstream has an inbox");
@@ -863,12 +817,14 @@ impl Node {
                     if q.items.len() >= inbox.capacity {
                         return Err(msg);
                     }
+                    sent(&msg);
                     q.items.push_back(msg);
                 }
                 next.wake(&self.run.pool);
                 Ok(())
             }
             None => {
+                sent(&msg);
                 if let Message::Deconvolved(b) = msg {
                     lock(&self.run.sink).push(b);
                 }
@@ -930,23 +886,12 @@ impl Node {
 // Spawning a pipeline onto the pool
 // ---------------------------------------------------------------------
 
-/// Span category for a (possibly session-labeled) stage: interned
-/// `name@session` so per-tenant activity gets its own trace track
-/// identity; the plain stage name when unlabeled (keeping `htims pipeline
-/// --trace` categories stable).
-fn session_cat(name: &'static str, session: Option<&'static str>) -> &'static str {
-    match session {
-        Some(s) => ims_obs::intern(&format!("{name}@{s}")),
-        None => name,
-    }
-}
-
 /// Submits a pipeline to `sched` and returns without waiting. Used by
 /// `Pipeline::spawn_on` (and through it `run_threaded` and the session
 /// manager).
 pub(super) fn spawn(mut pipeline: Pipeline, sched: &Scheduler) -> ScheduledRun {
     assert!(!pipeline.stages.is_empty(), "pipeline has no stages");
-    pipeline.arm();
+    let meters = pipeline.arm(true);
     let start = Instant::now();
     // `capture` was already distributed to the source and stages by
     // `arm()`; the handle itself is not needed past this point.
@@ -962,10 +907,7 @@ pub(super) fn spawn(mut pipeline: Pipeline, sched: &Scheduler) -> ScheduledRun {
     } = pipeline;
     let n = stages.len();
     let frames = source.frames();
-    let source = Arc::new(source);
-    let names: Vec<&'static str> = std::iter::once("source")
-        .chain(stages.iter().map(|s| s.name()))
-        .collect();
+    let names: Vec<String> = meters.iter().map(|m| m.name.to_string()).collect();
 
     let run = Arc::new(RunCore {
         pool: sched.pool.clone(),
@@ -989,40 +931,36 @@ pub(super) fn spawn(mut pipeline: Pipeline, sched: &Scheduler) -> ScheduledRun {
         caps.push(s.output_depth(channel_depth));
     }
 
+    let work: Vec<Work> = std::iter::once(Work::Source {
+        source,
+        frames,
+        next: 0,
+    })
+    .chain(stages.into_iter().map(|stage| Work::Stage {
+        stage,
+        flushed: false,
+        blocked_recv_since: None,
+    }))
+    .collect();
     // Build back-to-front so each node owns an Arc to its downstream;
     // upstream links are Weak (the chain would otherwise be a cycle).
     let mut nodes: Vec<Arc<Node>> = Vec::with_capacity(n + 1);
     let mut downstream: Option<Arc<Node>> = None;
-    for (i, stage) in stages.into_iter().enumerate().rev() {
-        let name = stage.name();
-        let queue_gauge = ims_obs::metrics::gauge(&StageMeter::metric_name(
-            "pipeline.queue_depth",
-            name,
-            session,
-        ));
-        let mut meter = StageMeter::with_session(name, session);
-        meter.flight = flight
-            .labels
-            .get(i + 1)
-            .map(|&label| (flight.recorder.clone(), label));
+    for (index, (work, meter)) in work.into_iter().zip(meters).enumerate().rev() {
         let node = Arc::new(Node {
             state: AtomicU8::new(IDLE),
-            index: i + 1,
-            cat: session_cat(name, session),
-            prof_tag: ims_obs::prof::intern_tag(session.unwrap_or("-"), name, "-"),
-            body: Mutex::new(Some(Body::Stage(StageBody {
-                stage,
+            index,
+            prof_tag: ims_obs::prof::intern_tag(session.unwrap_or("-"), meter.name, "-"),
+            body: Mutex::new(Some(Body {
                 meter,
-                queue_gauge,
                 outbox: VecDeque::new(),
-                poisoned: None,
-                flushed: false,
                 blocked_send_since: None,
-                blocked_recv_since: None,
+                panic: None,
                 finished: false,
-            }))),
-            inbox: Some(Inbox {
-                capacity: caps[i].max(1),
+                work,
+            })),
+            inbox: (index > 0).then(|| Inbox {
+                capacity: caps[index - 1].max(1),
                 q: Mutex::new(InboxQ::default()),
             }),
             downstream: downstream.take(),
@@ -1035,42 +973,12 @@ pub(super) fn spawn(mut pipeline: Pipeline, sched: &Scheduler) -> ScheduledRun {
         downstream = Some(node.clone());
         nodes.push(node);
     }
-    let mut source_meter = StageMeter::with_session("source", session);
-    source_meter.flight = flight
-        .labels
-        .first()
-        .map(|&label| (flight.recorder.clone(), label));
-    let source_node = Arc::new(Node {
-        state: AtomicU8::new(IDLE),
-        index: 0,
-        cat: session_cat("source", session),
-        prof_tag: ims_obs::prof::intern_tag(session.unwrap_or("-"), "source", "-"),
-        body: Mutex::new(Some(Body::Source(SourceBody {
-            source,
-            frames,
-            next: 0,
-            stalled: None,
-            meter: source_meter,
-            panic: None,
-            blocked_send_since: None,
-            finished: false,
-        }))),
-        inbox: None,
-        downstream: downstream.take(),
-        upstream: OnceLock::new(),
-        run: run.clone(),
-    });
-    if let Some(next) = &source_node.downstream {
-        let _ = next.upstream.set(Arc::downgrade(&source_node));
-    }
-    nodes.push(source_node);
     nodes.reverse(); // index order: source, stage 0, …, stage n-1
 
     // Watchdog: its own thread per supervised run (the pool's workers
     // may all be busy — or sleeping inside an injected stall).
     let watchdog = supervisor.stall_timeout.map(|timeout| {
         let run = run.clone();
-        let names: Vec<String> = names.iter().map(|s| s.to_string()).collect();
         let weak_nodes: Vec<Weak<Node>> = nodes.iter().map(Arc::downgrade).collect();
         std::thread::Builder::new()
             .name("sched-watchdog".into())
@@ -1186,26 +1094,15 @@ impl ScheduledRun {
         let mut stages: Vec<Box<dyn Stage>> = Vec::with_capacity(self.nodes.len() - 1);
         for node in &self.nodes {
             let body = lock(&node.body).take().expect("node body taken once");
-            match body {
-                Body::Source(s) => {
-                    if let Some(message) = s.panic {
-                        errors.push(PipelineError::StagePanicked {
-                            stage: "source".into(),
-                            message,
-                        });
-                    }
-                    meters.push(s.meter);
-                }
-                Body::Stage(s) => {
-                    if let Some(message) = s.poisoned {
-                        errors.push(PipelineError::StagePanicked {
-                            stage: s.stage.name().into(),
-                            message,
-                        });
-                    }
-                    meters.push(s.meter);
-                    stages.push(s.stage);
-                }
+            if let Some(message) = body.panic {
+                errors.push(PipelineError::StagePanicked {
+                    stage: body.meter.name.into(),
+                    message,
+                });
+            }
+            meters.push(body.meter);
+            if let Work::Stage { stage, .. } = body.work {
+                stages.push(stage);
             }
         }
         let blocks = std::mem::take(&mut *lock(&self.run.sink));

@@ -236,6 +236,50 @@ fn flight_dump_after_forced_degraded_carries_the_quarantined_frames_chain() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The black box does not depend on the executor: one graph, seed and
+/// spec dump the same events inline and threaded — including the egress
+/// of the partial block the accumulator drains at flush.
+#[test]
+fn inline_and_threaded_runs_dump_the_same_black_box() {
+    let (gen, seq) = generator(5, 18);
+    let dump = |threaded: bool| {
+        let dir = std::env::temp_dir().join(format!(
+            "htims_flight_exec_{}_{threaded}",
+            std::process::id()
+        ));
+        let cfg = HybridConfig {
+            frames: 4,
+            channel_depth: 2,
+            ..Default::default()
+        };
+        let backend = DeconvBackend::fpga(&seq, cfg.deconv);
+        let spec = FaultSpec::parse("frame.drop=0.2").unwrap();
+        let p = hybrid_pipeline(&gen, &seq, &cfg, 12, 4, true, backend)
+            .with_faults(FaultInjector::new(5, spec))
+            .with_flight_dump(dir.clone(), "execcfg");
+        let out = if threaded {
+            p.run_threaded()
+        } else {
+            p.run_inline()
+        };
+        assert_eq!(out.report.outcome, RunOutcome::Degraded);
+        let path = out.report.flight_dump.expect("a degraded run dumps");
+        let text = std::fs::read_to_string(path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        ims_obs::flight::strip_timestamps(&text)
+    };
+    let (inline, threaded) = (dump(false), dump(true));
+    let events = |text: &str| text.lines().skip(1).map(str::to_string).collect::<Vec<_>>();
+    assert_eq!(events(&inline), events(&threaded));
+    assert!(
+        events(&inline).contains(
+            &r#"{"stage":"accumulate","kind":"block_egress","item":2,"ts_ns":0}"#.to_string()
+        ),
+        "the block drained at flush leaves the accumulator"
+    );
+    assert_eq!(inline, threaded, "header and events");
+}
+
 #[test]
 fn early_source_eof_drains_the_threaded_executor_without_deadlock() {
     let (gen, seq) = generator(5, 18);

@@ -56,7 +56,7 @@ pub use sampler::{SamplePoint, Sampler, SamplerConfig};
 pub use session::{
     ObsReport, Provenance, SpanRecord, ThreadInfo, TraceSession, OBS_SCHEMA_VERSION,
 };
-pub use slo::{SloDelta, SloEngine, SloSpec, SloStatus, SloSummary};
+pub use slo::{parse_duration, SloDelta, SloEngine, SloSpec, SloStatus, SloSummary};
 pub use trace::{counter_sample, instant, intern, set_thread_name, span, span_cat, SpanGuard};
 
 /// Serializes tests that mutate the process-global tracer/registry (the

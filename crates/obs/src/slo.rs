@@ -30,6 +30,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
+use std::time::Duration;
 
 /// Default fast alerting window, seconds.
 pub const FAST_WINDOW_S: u64 = 10;
@@ -56,7 +57,13 @@ impl SloSpec {
                 .split_once('=')
                 .ok_or_else(|| format!("bad --slo clause `{clause}`: expected key=value"))?;
             match key.trim() {
-                "p99" => spec.p99_ns = Some(parse_duration_ns(value.trim())?),
+                "p99" => {
+                    let d = parse_duration(value)
+                        .ok_or_else(|| format!("bad duration `{value}` (e.g. 5ms, 250us, 1.5s)"))?;
+                    let ns = u64::try_from(d.as_nanos())
+                        .map_err(|_| format!("duration `{value}` overflows u64 nanoseconds"))?;
+                    spec.p99_ns = Some(ns);
+                }
                 "completeness" => {
                     let f: f64 = value
                         .trim()
@@ -95,22 +102,33 @@ impl fmt::Display for SloSpec {
     }
 }
 
-/// Parses `5ms` / `2s` / `500us` / `250ns` into nanoseconds.
-fn parse_duration_ns(s: &str) -> Result<u64, String> {
-    let (digits, unit): (String, String) = (
-        s.chars().take_while(|c| c.is_ascii_digit()).collect(),
-        s.chars().skip_while(|c| c.is_ascii_digit()).collect(),
-    );
-    let n: u64 = digits.parse().map_err(|_| format!("bad duration `{s}`"))?;
-    let scale = match unit.trim() {
-        "ns" => 1,
-        "us" | "µs" => 1_000,
-        "ms" => 1_000_000,
-        "s" => 1_000_000_000,
-        _ => return Err(format!("bad duration unit in `{s}` (ns|us|ms|s)")),
-    };
-    n.checked_mul(scale)
-        .ok_or_else(|| format!("duration `{s}` overflows"))
+/// Parses a duration: a non-negative decimal number with an optional
+/// unit, `ns`, `us` (or `µs`), `ms` or `s`; a bare number is seconds
+/// (`250us`, `2.5ms`, `1.5`). The one duration grammar of the command
+/// line, the fault spec and the SLO spec. `None` for anything else,
+/// including a negative, NaN, infinite or overflowing value (one a
+/// `Duration` cannot hold).
+///
+/// The number is read as an `f64` and `Duration::try_from_secs_f64`
+/// rounds it to the nearest nanosecond, so both renderings read back
+/// exactly: fault specs' decimal seconds (see `htims_core::fault`) and
+/// SLO specs' whole `s`/`ms`/`us`/`ns` counts below 2^51 ns (26 days),
+/// where the scaled `f64` lies within half a nanosecond of the count.
+pub fn parse_duration(text: &str) -> Option<Duration> {
+    const UNITS: [(&str, f64); 5] = [
+        ("ns", 1e-9),
+        ("us", 1e-6),
+        ("µs", 1e-6),
+        ("ms", 1e-3),
+        ("s", 1.0),
+    ];
+    let text = text.trim();
+    let (number, scale) = UNITS
+        .iter()
+        .find_map(|&(unit, scale)| text.strip_suffix(unit).map(|n| (n, scale)))
+        .unwrap_or((text, 1.0));
+    let value: f64 = number.trim().parse().ok()?;
+    Duration::try_from_secs_f64(value * scale).ok()
 }
 
 /// Renders nanoseconds back in the largest exact unit.
@@ -344,6 +362,55 @@ mod tests {
         assert!(SloSpec::parse("p42=5ms").is_err());
         assert!(SloSpec::parse("completeness=1.5").is_err());
         assert!(SloSpec::parse("p99=fast").is_err());
+    }
+
+    #[test]
+    fn p99_reads_the_one_duration_grammar() {
+        for (text, ns) in [
+            ("p99=2.5ms", 2_500_000),
+            ("p99=500µs", 500_000),
+            ("p99=250ns", 250),
+            ("p99=1.5", 1_500_000_000),
+            ("p99= 3 ms", 3_000_000),
+            ("p99=1e10s", 10_000_000_000_000_000_000),
+        ] {
+            let spec = SloSpec::parse(text).unwrap();
+            assert_eq!(spec.p99_ns, Some(ns), "{text}");
+            assert_eq!(SloSpec::parse(&spec.to_string()).unwrap(), spec, "{text}");
+        }
+        assert_eq!(
+            SloSpec::parse("p99=2.5ms").unwrap().to_string(),
+            "p99=2500us"
+        );
+        // Negative, NaN, infinite, a `Duration` overflow, and a duration
+        // past u64 nanoseconds (1e11 s).
+        for text in [
+            "p99=-1ms",
+            "p99=NaN",
+            "p99=infs",
+            "p99=1e999s",
+            "p99=1e30",
+            "p99=1e11s",
+        ] {
+            assert!(SloSpec::parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn parse_duration_units_and_refusals() {
+        let ns = |t: &str| parse_duration(t).map(|d| d.as_nanos());
+        assert_eq!(ns("7ns"), Some(7));
+        assert_eq!(ns("7us"), Some(7_000));
+        assert_eq!(ns("7µs"), Some(7_000));
+        assert_eq!(ns("7ms"), Some(7_000_000));
+        assert_eq!(ns("7s"), Some(7_000_000_000));
+        assert_eq!(ns("0.25"), Some(250_000_000));
+        assert_eq!(ns("0"), Some(0));
+        for bad in [
+            "", "ms", "5q", "5 m s", "-1s", "-0.5", "NaN", "inf", "1e30s", "1e999ms",
+        ] {
+            assert_eq!(parse_duration(bad), None, "{bad}");
+        }
     }
 
     #[test]

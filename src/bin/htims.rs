@@ -22,7 +22,7 @@ use htims::core::parallel::{deconvolve_fixed_point, deconvolve_with_threads, Wor
 use htims::core::BatchDeconvolver;
 use htims::fpga::deconv::DeconvConfig;
 use htims::fpga::{AccumulatorCore, DeconvCore, DmaLink, FpgaDevice, ResourceReport};
-use htims::graph::GraphSpec;
+use htims::graph::{check_shape, GraphSpec};
 use htims::physics::{Instrument, Workload};
 use htims::prs::{metrics, MSequence, OversampledSequence};
 use htims::signal::panel::{rows_mut, Columns};
@@ -73,6 +73,9 @@ fn help() {
          htims bench compare <baseline.json> <candidate.json> [--max-regress-pct <n>]\n    \
          [--out <verdict.json>]\n\n\
          graph flags are the pipeline flags from --degree to --capture-log.\n\
+         --degree is a PRS degree in 2..=20 and --mz at least 1; --stall-timeout is at least 1ms.\n\
+         durations (--stall-timeout, --duration, --interval, --slo p99=, --faults source.stall=)\n\
+         are a number with ns|us|ms|s, or bare seconds: 500us, 2.5ms, 1.5\n\
          pipeline|serve|chaos|bench deconv append a run summary to RUNS.jsonl\n\
          (override with --ledger <path>, disable with --no-ledger)"
     );
@@ -161,12 +164,13 @@ impl Args {
         self.parsed(name, "not a valid number", |v| v.parse().ok())
     }
 
-    /// `2s`, `500ms`, or bare seconds (`1.5`).
+    /// A duration in the one grammar of [`ims_obs::parse_duration`]:
+    /// `250us`, `2.5ms`, `2s`, or bare seconds (`1.5`).
     fn duration(&mut self, name: &str) -> Option<std::time::Duration> {
         self.parsed(
             name,
-            "use e.g. 250ms, 2s or 1.5",
-            htims::core::fault::parse_duration,
+            "use e.g. 500us, 2.5ms, 2s or 1.5 (ns|us|ms|s)",
+            ims_obs::parse_duration,
         )
     }
 
@@ -292,6 +296,12 @@ fn run(mut args: Args) {
         std::fs::read_to_string(&path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
     let config =
         ExperimentConfig::from_json(&json).unwrap_or_else(|e| die(format!("invalid config: {e}")));
+    check_shape(
+        config.sequence_degree,
+        config.mz_bins,
+        ["sequence_degree", "mz_bins"],
+    )
+    .unwrap_or_else(|e| die(format!("invalid config: {e}")));
 
     let (instrument, workload, schedule, options) = config.build();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -368,6 +378,10 @@ fn provenance(threads: usize, simd: &str, sparse: &str) -> htims::obs::Provenanc
 fn sequence(mut args: Args) {
     let degree: u32 = args.num("--degree").unwrap_or(9);
     let factor: usize = args.num("--factor").unwrap_or(1);
+    // No m/z axis here: only the degree is checked.
+    if let Err(e) = check_shape(degree, 1, ["--degree", "--mz"]) {
+        args.fail(e);
+    }
     args.finish();
     let seq = MSequence::new(degree);
     println!(
@@ -408,7 +422,12 @@ fn graph_spec(args: &mut Args, base: GraphSpec) -> GraphSpec {
         args.string(name)
             .map_or(default, |v| Some(v).filter(|v| !v.is_empty()))
     }
-    GraphSpec {
+    let stall_timeout = args.duration("--stall-timeout");
+    if let Some(d) = stall_timeout.filter(|d| d.as_millis() == 0) {
+        // The watchdog counts whole milliseconds: 0 would fire at once.
+        args.fail(format!("bad --stall-timeout '{d:?}': under 1 ms"));
+    }
+    let spec = GraphSpec {
         degree: args.num("--degree").unwrap_or(base.degree),
         mz: args.num("--mz").unwrap_or(base.mz),
         frames: args.num("--frames").unwrap_or(base.frames),
@@ -422,8 +441,7 @@ fn graph_spec(args: &mut Args, base: GraphSpec) -> GraphSpec {
         executor: args.string("--executor").unwrap_or(base.executor),
         seed: args.num("--seed").unwrap_or(base.seed),
         faults: text(args, "--faults", base.faults),
-        stall_timeout_ms: args
-            .duration("--stall-timeout")
+        stall_timeout_ms: stall_timeout
             .map(|d| d.as_millis() as u64)
             .or(base.stall_timeout_ms),
         sparse: args.switch("--sparse") || base.sparse,
@@ -432,7 +450,11 @@ fn graph_spec(args: &mut Args, base: GraphSpec) -> GraphSpec {
         profile_dir: text(args, "--profile", base.profile_dir),
         shards: args.num("--shards").unwrap_or(base.shards),
         capture_log: text(args, "--capture-log", base.capture_log),
+    };
+    if let Err(e) = spec.check_shape() {
+        args.fail(e);
     }
+    spec
 }
 
 /// The ledger sink for this invocation: `--ledger <path>` overrides the
@@ -1774,6 +1796,9 @@ fn thread_sweep(quick: bool) -> Vec<usize> {
 fn feasibility(mut args: Args) {
     let degree: u32 = args.num("--degree").unwrap_or(9);
     let mz: usize = args.num("--mz").unwrap_or(100);
+    if let Err(e) = check_shape(degree, mz, ["--degree", "--mz"]) {
+        args.fail(e);
+    }
     args.finish();
     let n = (1usize << degree) - 1;
     let seq = MSequence::new(degree);

@@ -18,10 +18,30 @@ use crate::core::pipeline::{
 };
 use crate::fpga::MzBinner;
 use crate::physics::{Instrument, Workload};
+use crate::prs::poly::{MAX_DEGREE, MIN_DEGREE};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
+
+/// The one check of a run's shape, made before anything is built: a PRS
+/// degree the primitive-polynomial table covers
+/// (`MIN_DEGREE..=MAX_DEGREE`) and at least one m/z bin. `names` are the
+/// caller's words for the two values (`--degree` and `--mz` on the
+/// command line), so the error names what to fix.
+pub fn check_shape(degree: u32, mz: usize, names: [&str; 2]) -> Result<(), String> {
+    let [degree_name, mz_name] = names;
+    if !(MIN_DEGREE..=MAX_DEGREE).contains(&degree) {
+        return Err(format!(
+            "{degree_name} {degree} is outside the supported PRS degrees \
+             {MIN_DEGREE}..={MAX_DEGREE}"
+        ));
+    }
+    if mz == 0 {
+        return Err(format!("{mz_name} 0: a frame needs at least one m/z bin"));
+    }
+    Ok(())
+}
 
 /// One reproducible stage-graph run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -126,6 +146,11 @@ impl GraphSpec {
         }
     }
 
+    /// [`check_shape`] on the spec's degree and m/z bins.
+    pub fn check_shape(&self) -> Result<(), String> {
+        check_shape(self.degree, self.mz, ["--degree", "--mz"])
+    }
+
     /// Drift-time bins: the PRS length `2^degree − 1`.
     pub fn drift_bins(&self) -> usize {
         (1usize << self.degree) - 1
@@ -155,8 +180,9 @@ impl GraphSpec {
         })
     }
 
-    /// Builds and runs the graph. Errors (unknown backend/executor,
-    /// out-of-range coarse bins) are returned, not printed — the CLI
+    /// Builds and runs the graph. Errors (out-of-range degree or m/z
+    /// bins, unknown backend/executor, out-of-range coarse bins) are
+    /// returned, not printed — the CLI
     /// decides how to die. When `capture_log` is set, the log is fsynced
     /// and a `manifest.json` (spec + output FNV) is written next to the
     /// segments after the run, closing the replay contract.
@@ -191,6 +217,7 @@ impl GraphSpec {
     /// the spec asks for one, so [`run`](Self::run) can finish the log
     /// and stamp the manifest after the executor drains.
     fn build_inner(&self) -> Result<(Pipeline, Option<CaptureLog>), String> {
+        self.check_shape()?;
         if !matches!(self.executor.as_str(), "inline" | "threaded") {
             return Err(format!(
                 "unknown executor '{}' (use threaded | inline)",
@@ -364,6 +391,11 @@ pub fn replay(dir: &str) -> Result<ReplayOutcome, String> {
             Some(stripped.to_string())
         };
     }
+    // The manifest is untrusted: its spec is checked before the log is
+    // read.
+    let graph = spec
+        .build()
+        .map_err(|e| format!("bad capture manifest: {e}"))?;
     let log = CaptureLog::open(Path::new(dir))
         .map_err(|e| format!("cannot open capture log in {dir}: {e}"))?;
     let packets = log
@@ -372,10 +404,7 @@ pub fn replay(dir: &str) -> Result<ReplayOutcome, String> {
     // The read-only log rides along so `shard.kill` rebuilds re-fire in
     // the replay exactly as they did in the captured run (appends from
     // the replaying source are no-ops on a read-only log).
-    let graph = spec
-        .build()?
-        .with_replay_source(packets)
-        .with_capture_log(log);
+    let graph = graph.with_replay_source(packets).with_capture_log(log);
     let output = spec.execute(graph);
     let actual_fnv = output_fingerprint(&output.blocks);
     Ok(ReplayOutcome {

@@ -69,6 +69,64 @@ fn a_command_line_it_cannot_honour_exits_2_and_writes_nothing() {
 }
 
 #[test]
+fn an_out_of_range_degree_or_an_empty_mz_axis_exits_2_not_a_panic() {
+    for (name, args, culprit) in [
+        ("degree1", &["pipeline", "--degree", "1"][..], "--degree"),
+        ("degree25", &["pipeline", "--degree", "25"], "--degree"),
+        ("mz0", &["pipeline", "--mz", "0"], "--mz"),
+        ("seq0", &["sequence", "--degree", "0"], "--degree"),
+        ("feas0", &["feasibility", "--degree", "0"], "--degree"),
+        ("feasmz0", &["feasibility", "--mz", "0"], "--mz"),
+    ] {
+        assert_refused(name, args, culprit);
+    }
+    // `run --config`: the config file is the only file afterwards.
+    let dir = scratch("config-degree0");
+    let text = String::from_utf8(htims(&dir, &["print-config"]).stdout).expect("utf-8 config");
+    assert!(text.contains("\"sequence_degree\": 9"), "{text}");
+    let text = text.replace("\"sequence_degree\": 9", "\"sequence_degree\": 0");
+    std::fs::write(dir.join("cfg.json"), text).expect("write config");
+    let out = htims(&dir, &["run", "--config", "cfg.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("sequence_degree"), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed a report");
+    assert_eq!(files_in(&dir), vec!["cfg.json".to_string()]);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn every_duration_flag_reads_one_grammar() {
+    // Decimals and sub-millisecond units read the same in `--slo` and
+    // `--stall-timeout` (each refused one of these before).
+    for args in [
+        &["--slo", "p99=2.5ms"][..],
+        &["--slo", "p99=500us"],
+        &["--stall-timeout", "1500us"],
+        &["--stall-timeout", "2.5ms"],
+    ] {
+        let dir = scratch("grammar");
+        let mut argv = vec!["pipeline", "--frames", "4", "--no-ledger"];
+        argv.extend_from_slice(args);
+        let out = htims(&dir, &argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    }
+    // The watchdog counts whole milliseconds: under 1 ms it would fire
+    // at once, so such a timeout is a bad value.
+    for value in ["0", "0.0004", "500us"] {
+        assert_refused(
+            "short-timeout",
+            &["pipeline", "--stall-timeout", value],
+            "--stall-timeout",
+        );
+    }
+    assert_refused("slo-neg", &["pipeline", "--slo", "p99=-1ms"], "--slo");
+    assert_refused("slo-inf", &["pipeline", "--slo", "p99=1e999s"], "--slo");
+}
+
+#[test]
 fn help_exits_0() {
     let dir = scratch("help");
     for args in [&[][..], &["help"], &["--help"]] {
@@ -201,5 +259,39 @@ fn a_manifest_nested_past_the_parser_bound_is_refused_not_a_stack_overflow() {
     let stderr = String::from_utf8_lossy(&replay.stderr);
     assert_eq!(replay.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("bad capture manifest"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn a_manifest_whose_degree_is_out_of_range_is_refused_not_a_panic() {
+    let dir = scratch("degree-manifest");
+    let capture = htims(
+        &dir,
+        &[
+            "pipeline",
+            "--capture-log",
+            "cap",
+            "--frames",
+            "4",
+            "--no-ledger",
+        ],
+    );
+    assert!(capture.status.success());
+    let manifest = dir.join("cap/manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    for (from, to, culprit) in [
+        ("\"degree\": 6", "\"degree\": 1", "--degree 1"),
+        ("\"degree\": 6", "\"degree\": 40", "--degree 40"),
+        ("\"mz\": 60", "\"mz\": 0", "--mz 0"),
+    ] {
+        assert!(text.contains(from), "{text}");
+        std::fs::write(&manifest, text.replace(from, to)).expect("rewrite manifest");
+        let replay = htims(&dir, &["pipeline", "--replay", "cap", "--no-ledger"]);
+        let stderr = String::from_utf8_lossy(&replay.stderr);
+        assert_eq!(replay.status.code(), Some(2), "{to}: {stderr}");
+        assert!(stderr.contains("bad capture manifest"), "{stderr}");
+        assert!(stderr.contains(culprit), "{stderr}");
+        assert!(replay.stdout.is_empty(), "{to}: printed a report");
+    }
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
