@@ -78,19 +78,6 @@ impl RunOutcome {
     }
 }
 
-/// What to do with a frame whose integrity checksum fails.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CorruptPolicy {
-    /// Quarantine the frame: count it, drop it, keep running (the run
-    /// degrades instead of dying). The default.
-    #[default]
-    Drop,
-    /// Panic the consuming stage — the supervisor converts that into a
-    /// [`PipelineError::StagePanicked`] and a `Failed` verdict. For runs
-    /// where silent data loss is worse than an abort.
-    Fail,
-}
-
 /// Supervision and degradation policy for a pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
@@ -100,26 +87,18 @@ pub struct SupervisorConfig {
     /// is spawned, no overhead. Must exceed the slowest single-item
     /// processing time of any stage.
     pub stall_timeout: Option<Duration>,
-    /// What to do with checksum-failed frames.
-    pub corrupt_policy: CorruptPolicy,
     /// Whether the deconvolve stage may fall back to the software panel
     /// engine when a hardware-model backend fails (bit-identical output,
     /// so only cycle accounting changes). With this off, a backend
     /// failure panics the stage.
     pub deconv_fallback: bool,
-    /// Consecutive hardware-backend failures after which the deconvolve
-    /// stage switches to the software engine permanently instead of
-    /// retrying the hardware path per block.
-    pub max_consecutive_deconv_failures: u32,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
             stall_timeout: None,
-            corrupt_policy: CorruptPolicy::Drop,
             deconv_fallback: true,
-            max_consecutive_deconv_failures: 3,
         }
     }
 }
@@ -165,8 +144,6 @@ mod tests {
     fn supervisor_defaults_are_safe() {
         let cfg = SupervisorConfig::default();
         assert!(cfg.stall_timeout.is_none(), "watchdog off by default");
-        assert_eq!(cfg.corrupt_policy, CorruptPolicy::Drop);
         assert!(cfg.deconv_fallback);
-        assert_eq!(cfg.max_consecutive_deconv_failures, 3);
     }
 }

@@ -42,7 +42,7 @@ mod sched;
 mod session;
 mod stages;
 
-pub use error::{CorruptPolicy, PipelineError, RunOutcome, SupervisorConfig};
+pub use error::{PipelineError, RunOutcome, SupervisorConfig};
 pub use executor::{Pipeline, PipelineOutput};
 pub use report::{PipelineReport, StageReport};
 pub use sched::{default_pool_threads, SchedStatsSnapshot, ScheduledRun, Scheduler};

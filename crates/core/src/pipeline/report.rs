@@ -109,8 +109,8 @@ pub struct PipelineReport {
     /// had no injector).
     #[serde(default)]
     pub faults: FaultCounts,
-    /// Frames whose integrity checksum failed and were quarantined under
-    /// `CorruptPolicy::Drop`.
+    /// Frames whose integrity checksum failed and were quarantined
+    /// (counted and dropped; the run degrades).
     #[serde(default)]
     pub frames_quarantined: u64,
     /// Blocks the deconvolve stage recovered by falling back to the

@@ -1,6 +1,6 @@
 //! The concrete stages of the hybrid datapath.
 
-use super::error::{CorruptPolicy, SupervisorConfig};
+use super::error::SupervisorConfig;
 use super::{Block, DeconvolvedBlock, Message, ObsTap, PipelineReport, Stage};
 use crate::capture::CaptureLog;
 use crate::fault::FaultInjector;
@@ -149,34 +149,20 @@ impl Stage for LinkStage {
 
 /// The integrity gate run by the first frame-*consuming* stage (the binner
 /// when present, else the accumulator): `true` admits the frame (it passed
-/// its checksum, or carried none). A corrupted frame is quarantined —
-/// counted, traced, dropped — under [`CorruptPolicy::Drop`], or panics the
-/// stage (for the supervisor to catch) under [`CorruptPolicy::Fail`].
-fn admit_frame(
-    p: &FramePacket,
-    stage: &'static str,
-    policy: CorruptPolicy,
-    quarantined: &mut u64,
-    obs: &Option<ObsTap>,
-) -> bool {
+/// its checksum, or carried none). A corrupted frame is quarantined:
+/// counted, traced, recorded in the flight ring and dropped, so the run
+/// degrades instead of dying.
+fn admit_frame(p: &FramePacket, quarantined: &mut u64, obs: &Option<ObsTap>) -> bool {
     if p.verify() {
         return true;
     }
-    match policy {
-        CorruptPolicy::Drop => {
-            *quarantined += 1;
-            ims_obs::static_counter!("pipeline.frames_quarantined").incr();
-            ims_obs::instant("fault", "quarantine");
-            if let Some(tap) = obs {
-                tap.record(ims_obs::FlightKind::Quarantine, p.seq_no);
-            }
-            false
-        }
-        CorruptPolicy::Fail => panic!(
-            "frame {} failed its integrity check at stage `{stage}`",
-            p.seq_no
-        ),
+    *quarantined += 1;
+    ims_obs::static_counter!("pipeline.frames_quarantined").incr();
+    ims_obs::instant("fault", "quarantine");
+    if let Some(tap) = obs {
+        tap.record(ims_obs::FlightKind::Quarantine, p.seq_no);
     }
+    false
 }
 
 /// On-chip m/z binning: folds each fine-resolution frame into a coarse one
@@ -187,7 +173,6 @@ pub struct BinnerStage {
     binner: MzBinner,
     drift_bins: usize,
     scratch: Vec<u32>,
-    corrupt_policy: CorruptPolicy,
     quarantined: u64,
     obs: Option<ObsTap>,
 }
@@ -199,7 +184,6 @@ impl BinnerStage {
             binner,
             drift_bins,
             scratch: Vec::new(),
-            corrupt_policy: CorruptPolicy::Drop,
             quarantined: 0,
             obs: None,
         }
@@ -214,13 +198,7 @@ impl Stage for BinnerStage {
     fn process(&mut self, msg: Message, emit: &mut dyn FnMut(Message)) {
         match msg {
             Message::Frame(p) => {
-                if !admit_frame(
-                    &p,
-                    "binner",
-                    self.corrupt_policy,
-                    &mut self.quarantined,
-                    &self.obs,
-                ) {
+                if !admit_frame(&p, &mut self.quarantined, &self.obs) {
                     return;
                 }
                 // Bin straight from the wire packet's payload into the
@@ -243,10 +221,6 @@ impl Stage for BinnerStage {
     fn finalize(&mut self, report: &mut PipelineReport) {
         report.binner_cycles += self.binner.cycles();
         report.frames_quarantined += self.quarantined;
-    }
-
-    fn arm_faults(&mut self, _injector: &FaultInjector, supervisor: &SupervisorConfig) {
-        self.corrupt_policy = supervisor.corrupt_policy;
     }
 
     fn arm_obs(&mut self, tap: &ObsTap) {
@@ -274,7 +248,6 @@ pub struct AccumulateStage {
     next_index: u64,
     saturation_events: u64,
     flush_remainder: bool,
-    corrupt_policy: CorruptPolicy,
     quarantined: u64,
     /// When set, drained blocks below the occupancy threshold carry a
     /// run index ([`ims_fpga::SparseBlock`]) for zero-skipping deconvolution.
@@ -320,7 +293,6 @@ impl AccumulateStage {
             next_index: 0,
             saturation_events: 0,
             flush_remainder,
-            corrupt_policy: CorruptPolicy::Drop,
             quarantined: 0,
             sparse_enabled: false,
             sparse_blocks: 0,
@@ -482,13 +454,7 @@ impl Stage for AccumulateStage {
     fn process(&mut self, msg: Message, emit: &mut dyn FnMut(Message)) {
         match msg {
             Message::Frame(p) => {
-                if !admit_frame(
-                    &p,
-                    "accumulate",
-                    self.corrupt_policy,
-                    &mut self.quarantined,
-                    &self.obs,
-                ) {
+                if !admit_frame(&p, &mut self.quarantined, &self.obs) {
                     return;
                 }
                 self.acc
@@ -539,8 +505,7 @@ impl Stage for AccumulateStage {
             .extend(self.lost_ranges.iter().copied());
     }
 
-    fn arm_faults(&mut self, injector: &FaultInjector, supervisor: &SupervisorConfig) {
-        self.corrupt_policy = supervisor.corrupt_policy;
+    fn arm_faults(&mut self, injector: &FaultInjector, _supervisor: &SupervisorConfig) {
         self.injector = Some(injector.clone());
     }
 
@@ -634,6 +599,11 @@ impl DeconvBackend {
     }
 }
 
+/// Hardware-backend failures in a row after which the deconvolve stage
+/// stays on the software engine for the rest of the run instead of
+/// retrying the hardware path per block.
+const MAX_CONSECUTIVE_FAILURES: u32 = 3;
+
 /// Deconvolution: turns each accumulated block into a deconvolved one.
 pub struct DeconvolveStage {
     backend: DeconvBackend,
@@ -651,8 +621,8 @@ pub struct DeconvolveStage {
     fallback_core: Option<DeconvCore>,
     /// Whether the supervisor allows falling back at all.
     fallback_enabled: bool,
-    /// Consecutive failures before the switch becomes permanent.
-    max_consecutive_failures: u32,
+    /// Hardware failures in a row so far; at [`MAX_CONSECUTIVE_FAILURES`]
+    /// the switch becomes permanent.
     consecutive_failures: u32,
     /// Permanently on the software engine for the rest of the run.
     fallen_back: bool,
@@ -671,7 +641,6 @@ impl DeconvolveStage {
             injector: None,
             fallback_core: None,
             fallback_enabled: true,
-            max_consecutive_failures: 3,
             consecutive_failures: 0,
             fallen_back: false,
             fallbacks: 0,
@@ -722,7 +691,7 @@ impl DeconvolveStage {
         self.fallbacks += 1;
         ims_obs::static_counter!("fault.recovered.deconv_fallback").incr();
         ims_obs::instant("fault", "deconv_fallback");
-        if self.consecutive_failures >= self.max_consecutive_failures {
+        if self.consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
             self.fallen_back = true;
         }
         true
@@ -794,6 +763,5 @@ impl Stage for DeconvolveStage {
     fn arm_faults(&mut self, injector: &FaultInjector, supervisor: &SupervisorConfig) {
         self.injector = Some(injector.clone());
         self.fallback_enabled = supervisor.deconv_fallback;
-        self.max_consecutive_failures = supervisor.max_consecutive_deconv_failures.max(1);
     }
 }

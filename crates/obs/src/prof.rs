@@ -238,6 +238,9 @@ fn ensure_sampler() {
         return;
     }
     STARTED.get_or_init(|| {
+        // Registered before the first pass, so a short run's metric names
+        // do not depend on whether a pass landed before its snapshot.
+        sample_passes();
         let period = Duration::from_nanos(1_000_000_000 / u64::from(hz()));
         std::thread::Builder::new()
             .name("obs-prof".into())
@@ -277,7 +280,12 @@ pub fn sample_now(elapsed_ns: u64) {
         st.tallies[tag].cpu_ns.fetch_add(elapsed_ns, Relaxed);
         tags.1[tag].cpu_counter.add(elapsed_ns);
     }
-    crate::static_counter!("prof.sample_passes").incr();
+    sample_passes().incr();
+}
+
+/// The `prof.sample_passes` counter: sampling passes run so far.
+fn sample_passes() -> &'static crate::metrics::Counter {
+    crate::static_counter!("prof.sample_passes")
 }
 
 /// One tag's accumulated samples in a [`ProfSnapshot`].

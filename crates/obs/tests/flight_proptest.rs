@@ -78,4 +78,35 @@ proptest! {
         prop_assert_eq!(header.events as usize, lines.len());
         prop_assert_eq!(lines.len(), events.len());
     }
+
+    /// `parse_dump` reads files it cannot trust: arbitrary text, and a
+    /// real dump cut anywhere or with arbitrary text spliced in, parse or
+    /// fail without panicking.
+    #[test]
+    fn parse_dump_answers_damaged_text_without_panicking(
+        chars in proptest::collection::vec(any::<u32>(), 0..48),
+        events in proptest::collection::vec((0u8..6, 0u64..50), 0..20),
+        cut in any::<usize>(),
+    ) {
+        let junk: String = chars
+            .iter()
+            .filter_map(|&c| char::from_u32(c % 0x11_0000))
+            .collect();
+        let _ = ims_obs::flight::parse_dump(&junk);
+        let rec = FlightRecorder::new(1, 64);
+        let s = rec.register("stage");
+        for (i, &(kind, item)) in events.iter().enumerate() {
+            rec.record_at(s, KINDS[kind as usize], item, i as u64);
+        }
+        let text = rec.render_dump(&ims_obs::flight::DumpMeta {
+            fingerprint: "prop".into(),
+            ..Default::default()
+        });
+        let mut at = cut % (text.len() + 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        let _ = ims_obs::flight::parse_dump(&text[..at]);
+        let _ = ims_obs::flight::parse_dump(&format!("{}{junk}{}", &text[..at], &text[at..]));
+    }
 }

@@ -4,10 +4,12 @@
 //! handful of unit-stride row sweeps: the FWHT row-pair butterfly
 //! ([`crate::fwht::fwht_panel`]), the radix-2 FFT butterfly and the
 //! Bluestein chirp/spectrum multiplies ([`crate::fft::FftPlan`]), and the
-//! circulant spectral-weight multiply (`ims_prs::CirculantSolver`). This
-//! module implements those sweeps four times — portable scalar, SSE2, AVX2
-//! and AVX-512F (`std::arch`, zero external dependencies) — and selects one
-//! backend per process.
+//! circulant spectral-weight multiply (`ims_prs::CirculantSolver`). Each of
+//! those sweeps is written twice: once as a portable scalar loop, the
+//! reference, and once as a generic body over a private lane trait with one
+//! implementation per instruction set — SSE2, AVX2 and AVX-512F
+//! (`std::arch`, zero external dependencies). One backend is selected per
+//! process.
 //!
 //! # Dispatch rules
 //!
@@ -22,24 +24,53 @@
 //!
 //! Every kernel also has an explicit-backend form (the `be: Backend` first
 //! argument) so tests can pin each implementation against the scalar
-//! reference without touching process environment.
+//! reference without touching process environment. The backend passed must
+//! be one the running CPU has ([`available_backends`]).
+//!
+//! # One body per kernel
+//!
+//! `Lanes` is one instruction set's vector of `N` f64 (or i64) lanes. Each
+//! of its operations is one intrinsic, or two or three where the instruction
+//! set lacks the instruction: f64 `load`, `store`, `splat`, `add`, `sub` and
+//! `mul`; the complex helpers `addsub` and `swap`; the `widen`/`narrow`
+//! shuffles; and i64 `load_i`, `store_i`, `add_i` and `sub_i`. Intrinsics
+//! appear nowhere else.
+//!
+//! A kernel's generic body cuts its rows to their common length (what the
+//! scalar loop's `zip` walks), steps through them in `chunks_exact` chunks of
+//! one vector, loading and storing the chunk slices, and hands the remainder
+//! to the kernel's scalar loop. `kernel!` declares the public function:
+//! `Backend::Scalar` runs the scalar loop, and each vector backend runs the
+//! generic body through an entry point compiled with `#[target_feature]` for
+//! its instruction set. Every lane op and body is `#[inline(always)]`, so
+//! each intrinsic inlines into that entry point; a lost inline shows as a
+//! `call` into `core::core_arch` in the release binary, which CI rejects.
+//!
+//! * To add a kernel: write its scalar loop and its generic body, declare it
+//!   with one `kernel!` line, and add one line to each per-backend identity
+//!   test (the unit test below and `tests/properties.rs`).
+//! * To add a backend: write one `Lanes` implementation, add a [`Backend`]
+//!   variant (name, detection) and its entry point in `kernel!`.
 //!
 //! # Bit-exactness contract
 //!
 //! Each backend produces **bit-identical** results to the scalar reference
-//! loops it replaces. The vector code is written to preserve IEEE-754
-//! semantics operation for operation:
+//! loops. The lane ops preserve IEEE-754 semantics operation for operation:
 //!
-//! * additions/subtractions/multiplications map 1:1 onto vector lanes —
-//!   no FMA contraction anywhere (FMA changes rounding);
-//! * the complex multiply uses `mul`/`mul`/`addsub`, which computes
-//!   `re = a.re·c.re − a.im·c.im` exactly as the scalar `Mul` impl does,
-//!   and `im` as the *same two products* added in swapped order — IEEE
-//!   addition is commutative, so the bits agree;
-//! * the SSE2 fallback (no `addsub` before SSE3) negates the subtrahend
-//!   lane with a sign-bit XOR: `x + (−y)` is defined by IEEE-754 to equal
-//!   `x − y` for every input. AVX-512 has no `addsub` either, so it uses
-//!   the same sign-bit XOR on the even (real) lanes.
+//! * `add`/`sub`/`mul` map 1:1 onto vector lanes — no FMA contraction
+//!   anywhere (FMA changes rounding);
+//! * the complex product is `cmul(v, c) = addsub(v·c.re, swap(v)·c.im)`,
+//!   which computes `re = v.re·c.re − v.im·c.im` exactly as the scalar `Mul`
+//!   impl does, and `im` as the *same two products* added in swapped order —
+//!   IEEE addition is commutative, so the bits agree;
+//! * SSE2 (no `addsub` before SSE3) and AVX-512F (no `addsub` at all) negate
+//!   the real lanes of the subtrahend with a sign-bit XOR and add:
+//!   `x + (−y)` is defined by IEEE-754 to equal `x − y` for every non-NaN
+//!   input (the XOR can flip a NaN's sign bit, as the hand kernels did);
+//! * `widen`/`narrow` and the loads and stores only move bits.
+// Off x86-64 there is no `Lanes` implementation, so the generic bodies go
+// unused and every kernel runs its scalar loop.
+#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
 use crate::fft::Complex;
 use std::sync::OnceLock;
@@ -156,23 +187,132 @@ pub fn active_name() -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// Kernels
+// The lane trait
 // ---------------------------------------------------------------------
 
-/// FWHT butterfly over a row pair: `top[i], bottom[i] ← top[i]+bottom[i],
-/// top[i]−bottom[i]`.
-#[inline]
-pub fn butterfly_f64(be: Backend, top: &mut [f64], bottom: &mut [f64]) {
-    debug_assert_eq!(top.len(), bottom.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::butterfly_f64_avx512(top, bottom) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::butterfly_f64_avx2(top, bottom) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::butterfly_f64_sse2(top, bottom) },
-        _ => butterfly_f64_scalar(top, bottom),
+/// One instruction set's vector of `N` lanes: f64 values for the float
+/// kernels (`N / 2` interleaved complex values), i64 words for the
+/// fixed-point butterfly.
+///
+/// # Safety
+///
+/// Every op needs the implementing instruction set on the running CPU,
+/// and a load or store needs at least `N` elements in its slice. The
+/// generic bodies call the ops only from a `#[target_feature]` entry
+/// point, on `chunks_exact(N)` chunks.
+trait Lanes {
+    /// f64 (or i64) lanes per vector.
+    const N: usize;
+    /// Complex values per vector.
+    const C: usize = Self::N / 2;
+    /// A vector of f64 lanes.
+    type F: Copy;
+    /// A vector of i64 lanes.
+    type I: Copy;
+
+    unsafe fn load(src: &[f64]) -> Self::F;
+    unsafe fn store(dst: &mut [f64], v: Self::F);
+    unsafe fn splat(x: f64) -> Self::F;
+    unsafe fn add(a: Self::F, b: Self::F) -> Self::F;
+    unsafe fn sub(a: Self::F, b: Self::F) -> Self::F;
+    unsafe fn mul(a: Self::F, b: Self::F) -> Self::F;
+    /// `a − b` in the even (real) lanes, `a + b` in the odd (imaginary) ones.
+    unsafe fn addsub(a: Self::F, b: Self::F) -> Self::F;
+    /// Swaps each (re, im) pair: `[re0, im0, re1, im1 …]` → `[im0, re0 …]`.
+    unsafe fn swap(v: Self::F) -> Self::F;
+    /// Interleaves `v` with zeros: `([v0, 0, v1, 0 …], [v(N/2), 0 …])`.
+    unsafe fn widen(v: Self::F) -> (Self::F, Self::F);
+    /// The even lanes of `a`, then those of `b`: `[a0, a2 …, b0, b2 …]`.
+    unsafe fn narrow(a: Self::F, b: Self::F) -> Self::F;
+    unsafe fn load_i(src: &[i64]) -> Self::I;
+    unsafe fn store_i(dst: &mut [i64], v: Self::I);
+    /// Wrapping i64 add.
+    unsafe fn add_i(a: Self::I, b: Self::I) -> Self::I;
+    /// Wrapping i64 subtract.
+    unsafe fn sub_i(a: Self::I, b: Self::I) -> Self::I;
+
+    /// A complex constant splatted as the `(re, im)` pair [`Lanes::cmul`]
+    /// takes.
+    #[inline(always)]
+    unsafe fn splat_c(c: Complex) -> (Self::F, Self::F) {
+        (Self::splat(c.re), Self::splat(c.im))
     }
+
+    /// `v·c` on each interleaved complex value:
+    /// `addsub(v·c.re, swap(v)·c.im)` = `[v.re·c.re − v.im·c.im,
+    /// v.im·c.re + v.re·c.im]`.
+    #[inline(always)]
+    unsafe fn cmul(v: Self::F, (re, im): (Self::F, Self::F)) -> Self::F {
+        Self::addsub(Self::mul(v, re), Self::mul(Self::swap(v), im))
+    }
+}
+
+/// Declares the public kernel `$name(be, args…)`. `Backend::Scalar` runs
+/// the scalar loop `$scalar`; each vector backend runs the generic body
+/// `$lanes` through an entry point compiled for its instruction set.
+/// `be` must be a backend the running CPU has ([`Backend::is_available`];
+/// [`active`] and [`available_backends`] return only such backends).
+macro_rules! kernel {
+    ($(#[$doc:meta])* $name:ident($($arg:ident: $ty:ty),*) = $scalar:ident | $lanes:ident) => {
+        $(#[$doc])*
+        #[inline]
+        pub fn $name(be: Backend, $($arg: $ty),*) {
+            debug_assert!(be.is_available(), "{be:?} is not available on this CPU");
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY (each entry point): it runs only where the CPU has
+                // the instruction set it is compiled for, which `$lanes`
+                // requires. SSE2 is baseline on x86-64, so its entry point
+                // may inline into the caller; without the hint the weighted
+                // panel rows of `bench deconv` ran ~20% slower under
+                // `HTIMS_SIMD=sse2` (2-vCPU AVX-512 host).
+                #[inline]
+                #[target_feature(enable = "sse2")]
+                fn sse2($($arg: $ty),*) { unsafe { $lanes::<x86::Sse2>($($arg),*) } }
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) { unsafe { $lanes::<x86::Avx2>($($arg),*) } }
+                #[target_feature(enable = "avx512f")]
+                fn avx512($($arg: $ty),*) { unsafe { $lanes::<x86::Avx512>($($arg),*) } }
+                // SAFETY: callers pass a backend the CPU has (checked above
+                // in debug builds), so its entry point runs on a CPU with
+                // its instruction set.
+                unsafe {
+                    match be {
+                        Backend::Sse2 => return sse2($($arg),*),
+                        Backend::Avx2 => return avx2($($arg),*),
+                        Backend::Avx512 => return avx512($($arg),*),
+                        Backend::Scalar => {}
+                    }
+                }
+            }
+            $scalar($($arg),*)
+        }
+    };
+}
+
+/// Views a complex slice as its interleaved `re, im, re, im …` storage.
+#[inline(always)]
+fn flat(data: &[Complex]) -> &[f64] {
+    // SAFETY: Complex is repr(C) { re: f64, im: f64 }, so a slice of n
+    // Complex is exactly 2n contiguous, aligned f64 values.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), data.len() * 2) }
+}
+
+/// Mutable form of [`flat`].
+#[inline(always)]
+fn flat_mut(data: &mut [Complex]) -> &mut [f64] {
+    // SAFETY: as in `flat`.
+    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr().cast(), data.len() * 2) }
+}
+
+// ---------------------------------------------------------------------
+// Kernels: the public declaration, the scalar loop, the generic body
+// ---------------------------------------------------------------------
+
+kernel! {
+    /// FWHT butterfly over a row pair: `top[i], bottom[i] ← top[i]+bottom[i],
+    /// top[i]−bottom[i]`.
+    butterfly_f64(top: &mut [f64], bottom: &mut [f64]) = butterfly_f64_scalar | butterfly_f64_lanes
 }
 
 fn butterfly_f64_scalar(top: &mut [f64], bottom: &mut [f64]) {
@@ -183,19 +323,29 @@ fn butterfly_f64_scalar(top: &mut [f64], bottom: &mut [f64]) {
     }
 }
 
-/// Integer FWHT butterfly over a row pair (the fixed-point FPGA datapath).
-#[inline]
-pub fn butterfly_i64(be: Backend, top: &mut [i64], bottom: &mut [i64]) {
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn butterfly_f64_lanes<L: Lanes>(top: &mut [f64], bottom: &mut [f64]) {
     debug_assert_eq!(top.len(), bottom.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::butterfly_i64_avx512(top, bottom) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::butterfly_i64_avx2(top, bottom) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::butterfly_i64_sse2(top, bottom) },
-        _ => butterfly_i64_scalar(top, bottom),
+    let n = top.len().min(bottom.len());
+    let (top, bottom) = (&mut top[..n], &mut bottom[..n]);
+    let done = n / L::N * L::N;
+    for (t, b) in top
+        .chunks_exact_mut(L::N)
+        .zip(bottom.chunks_exact_mut(L::N))
+    {
+        let (x, y) = (L::load(t), L::load(b));
+        L::store(t, L::add(x, y));
+        L::store(b, L::sub(x, y));
     }
+    butterfly_f64_scalar(&mut top[done..], &mut bottom[done..]);
+}
+
+kernel! {
+    /// Integer FWHT butterfly over a row pair (the fixed-point FPGA datapath).
+    butterfly_i64(top: &mut [i64], bottom: &mut [i64]) = butterfly_i64_scalar | butterfly_i64_lanes
 }
 
 fn butterfly_i64_scalar(top: &mut [i64], bottom: &mut [i64]) {
@@ -206,20 +356,31 @@ fn butterfly_i64_scalar(top: &mut [i64], bottom: &mut [i64]) {
     }
 }
 
-/// Radix-2 FFT butterfly over a row pair with one broadcast twiddle:
-/// `u = top[i]; v = bottom[i]·w; top[i] = u+v; bottom[i] = u−v`.
-#[inline]
-pub fn butterfly_complex(be: Backend, top: &mut [Complex], bottom: &mut [Complex], w: Complex) {
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn butterfly_i64_lanes<L: Lanes>(top: &mut [i64], bottom: &mut [i64]) {
     debug_assert_eq!(top.len(), bottom.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::butterfly_complex_avx512(top, bottom, w) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::butterfly_complex_avx2(top, bottom, w) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::butterfly_complex_sse2(top, bottom, w) },
-        _ => butterfly_complex_scalar(top, bottom, w),
+    let n = top.len().min(bottom.len());
+    let (top, bottom) = (&mut top[..n], &mut bottom[..n]);
+    let done = n / L::N * L::N;
+    for (t, b) in top
+        .chunks_exact_mut(L::N)
+        .zip(bottom.chunks_exact_mut(L::N))
+    {
+        let (x, y) = (L::load_i(t), L::load_i(b));
+        L::store_i(t, L::add_i(x, y));
+        L::store_i(b, L::sub_i(x, y));
     }
+    butterfly_i64_scalar(&mut top[done..], &mut bottom[done..]);
+}
+
+kernel! {
+    /// Radix-2 FFT butterfly over a row pair with one broadcast twiddle:
+    /// `u = top[i]; v = bottom[i]·w; top[i] = u+v; bottom[i] = u−v`.
+    butterfly_complex(top: &mut [Complex], bottom: &mut [Complex], w: Complex)
+        = butterfly_complex_scalar | butterfly_complex_lanes
 }
 
 fn butterfly_complex_scalar(top: &mut [Complex], bottom: &mut [Complex], w: Complex) {
@@ -231,29 +392,41 @@ fn butterfly_complex_scalar(top: &mut [Complex], bottom: &mut [Complex], w: Comp
     }
 }
 
-/// Radix-2 FFT butterfly with a fused real scale: `u = top[i];
-/// v = bottom[i]·w; top[i] = (u+v)·s; bottom[i] = (u−v)·s`. Per element this
-/// is the butterfly followed by the scale in the same order as running
-/// [`butterfly_complex`] and then [`scale_complex`], so fusing the inverse
-/// FFT's `1/M` normalisation into its final level is bit-exact.
-#[inline]
-pub fn butterfly_complex_scale(
-    be: Backend,
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn butterfly_complex_lanes<L: Lanes>(
     top: &mut [Complex],
     bottom: &mut [Complex],
     w: Complex,
-    s: f64,
 ) {
     debug_assert_eq!(top.len(), bottom.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::butterfly_complex_scale_avx512(top, bottom, w, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::butterfly_complex_scale_avx2(top, bottom, w, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::butterfly_complex_scale_sse2(top, bottom, w, s) },
-        _ => butterfly_complex_scale_scalar(top, bottom, w, s),
+    let n = top.len().min(bottom.len());
+    let (top, bottom) = (&mut top[..n], &mut bottom[..n]);
+    let wv = L::splat_c(w);
+    let done = n / L::C * L::C;
+    for (t, b) in top
+        .chunks_exact_mut(L::C)
+        .zip(bottom.chunks_exact_mut(L::C))
+    {
+        let (t, b) = (flat_mut(t), flat_mut(b));
+        let u = L::load(t);
+        let v = L::cmul(L::load(b), wv);
+        L::store(t, L::add(u, v));
+        L::store(b, L::sub(u, v));
     }
+    butterfly_complex_scalar(&mut top[done..], &mut bottom[done..], w);
+}
+
+kernel! {
+    /// Radix-2 FFT butterfly with a fused real scale: `u = top[i];
+    /// v = bottom[i]·w; top[i] = (u+v)·s; bottom[i] = (u−v)·s`. Per element this
+    /// is the butterfly followed by the scale in the same order as running
+    /// [`butterfly_complex`] and then [`scale_complex`], so fusing the inverse
+    /// FFT's `1/M` normalisation into its final level is bit-exact.
+    butterfly_complex_scale(top: &mut [Complex], bottom: &mut [Complex], w: Complex, s: f64)
+        = butterfly_complex_scale_scalar | butterfly_complex_scale_lanes
 }
 
 fn butterfly_complex_scale_scalar(top: &mut [Complex], bottom: &mut [Complex], w: Complex, s: f64) {
@@ -265,31 +438,48 @@ fn butterfly_complex_scale_scalar(top: &mut [Complex], bottom: &mut [Complex], w
     }
 }
 
-/// Radix-2 FFT butterfly with fused per-row complex post-multipliers:
-/// `u = top[i]; v = bottom[i]·w; top[i] = (u+v)·ct; bottom[i] = (u−v)·cb`.
-/// Per element this is the butterfly followed by the same multiply a
-/// separate [`cmul_inplace`] sweep would perform, so fusing a row-diagonal
-/// spectrum multiply (the Bluestein kernel spectrum) into the final
-/// butterfly level is bit-exact.
-#[inline]
-pub fn butterfly_complex_postmul(
-    be: Backend,
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn butterfly_complex_scale_lanes<L: Lanes>(
     top: &mut [Complex],
     bottom: &mut [Complex],
     w: Complex,
-    ct: Complex,
-    cb: Complex,
+    s: f64,
 ) {
     debug_assert_eq!(top.len(), bottom.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::butterfly_complex_postmul_avx512(top, bottom, w, ct, cb) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::butterfly_complex_postmul_avx2(top, bottom, w, ct, cb) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::butterfly_complex_postmul_sse2(top, bottom, w, ct, cb) },
-        _ => butterfly_complex_postmul_scalar(top, bottom, w, ct, cb),
+    let n = top.len().min(bottom.len());
+    let (top, bottom) = (&mut top[..n], &mut bottom[..n]);
+    let (wv, sv) = (L::splat_c(w), L::splat(s));
+    let done = n / L::C * L::C;
+    for (t, b) in top
+        .chunks_exact_mut(L::C)
+        .zip(bottom.chunks_exact_mut(L::C))
+    {
+        let (t, b) = (flat_mut(t), flat_mut(b));
+        let u = L::load(t);
+        let v = L::cmul(L::load(b), wv);
+        L::store(t, L::mul(L::add(u, v), sv));
+        L::store(b, L::mul(L::sub(u, v), sv));
     }
+    butterfly_complex_scale_scalar(&mut top[done..], &mut bottom[done..], w, s);
+}
+
+kernel! {
+    /// Radix-2 FFT butterfly with fused per-row complex post-multipliers:
+    /// `u = top[i]; v = bottom[i]·w; top[i] = (u+v)·ct; bottom[i] = (u−v)·cb`.
+    /// Per element this is the butterfly followed by the same multiply a
+    /// separate [`cmul_inplace`] sweep would perform, so fusing a row-diagonal
+    /// spectrum multiply (the Bluestein kernel spectrum) into the final
+    /// butterfly level is bit-exact.
+    butterfly_complex_postmul(
+        top: &mut [Complex],
+        bottom: &mut [Complex],
+        w: Complex,
+        ct: Complex,
+        cb: Complex
+    ) = butterfly_complex_postmul_scalar | butterfly_complex_postmul_lanes
 }
 
 fn butterfly_complex_postmul_scalar(
@@ -307,20 +497,39 @@ fn butterfly_complex_postmul_scalar(
     }
 }
 
-/// Out-of-place row multiply by a broadcast complex constant:
-/// `dst[i] = src[i]·c` (the Bluestein chirp passes).
-#[inline]
-pub fn cmul_rows(be: Backend, dst: &mut [Complex], src: &[Complex], c: Complex) {
-    debug_assert_eq!(dst.len(), src.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::cmul_rows_avx512(dst, src, c) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::cmul_rows_avx2(dst, src, c) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::cmul_rows_sse2(dst, src, c) },
-        _ => cmul_rows_scalar(dst, src, c),
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn butterfly_complex_postmul_lanes<L: Lanes>(
+    top: &mut [Complex],
+    bottom: &mut [Complex],
+    w: Complex,
+    ct: Complex,
+    cb: Complex,
+) {
+    debug_assert_eq!(top.len(), bottom.len());
+    let n = top.len().min(bottom.len());
+    let (top, bottom) = (&mut top[..n], &mut bottom[..n]);
+    let (wv, ctv, cbv) = (L::splat_c(w), L::splat_c(ct), L::splat_c(cb));
+    let done = n / L::C * L::C;
+    for (t, b) in top
+        .chunks_exact_mut(L::C)
+        .zip(bottom.chunks_exact_mut(L::C))
+    {
+        let (t, b) = (flat_mut(t), flat_mut(b));
+        let u = L::load(t);
+        let v = L::cmul(L::load(b), wv);
+        L::store(t, L::cmul(L::add(u, v), ctv));
+        L::store(b, L::cmul(L::sub(u, v), cbv));
     }
+    butterfly_complex_postmul_scalar(&mut top[done..], &mut bottom[done..], w, ct, cb);
+}
+
+kernel! {
+    /// Out-of-place row multiply by a broadcast complex constant:
+    /// `dst[i] = src[i]·c` (the Bluestein chirp passes).
+    cmul_rows(dst: &mut [Complex], src: &[Complex], c: Complex) = cmul_rows_scalar | cmul_rows_lanes
 }
 
 fn cmul_rows_scalar(dst: &mut [Complex], src: &[Complex], c: Complex) {
@@ -329,21 +538,28 @@ fn cmul_rows_scalar(dst: &mut [Complex], src: &[Complex], c: Complex) {
     }
 }
 
-/// Out-of-place row multiply-and-scale by broadcast constants:
-/// `dst[i] = (src[i]·c)·s` (the Bluestein output chirp with the inverse
-/// `1/N` normalisation fused into the same sweep).
-#[inline]
-pub fn cmul_scale_rows(be: Backend, dst: &mut [Complex], src: &[Complex], c: Complex, s: f64) {
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn cmul_rows_lanes<L: Lanes>(dst: &mut [Complex], src: &[Complex], c: Complex) {
     debug_assert_eq!(dst.len(), src.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::cmul_scale_rows_avx512(dst, src, c, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::cmul_scale_rows_avx2(dst, src, c, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::cmul_scale_rows_sse2(dst, src, c, s) },
-        _ => cmul_scale_rows_scalar(dst, src, c, s),
+    let n = dst.len().min(src.len());
+    let (dst, src) = (&mut dst[..n], &src[..n]);
+    let cv = L::splat_c(c);
+    let done = n / L::C * L::C;
+    for (d, s) in dst.chunks_exact_mut(L::C).zip(src.chunks_exact(L::C)) {
+        L::store(flat_mut(d), L::cmul(L::load(flat(s)), cv));
     }
+    cmul_rows_scalar(&mut dst[done..], &src[done..], c);
+}
+
+kernel! {
+    /// Out-of-place row multiply-and-scale by broadcast constants:
+    /// `dst[i] = (src[i]·c)·s` (the Bluestein output chirp with the inverse
+    /// `1/N` normalisation fused into the same sweep).
+    cmul_scale_rows(dst: &mut [Complex], src: &[Complex], c: Complex, s: f64)
+        = cmul_scale_rows_scalar | cmul_scale_rows_lanes
 }
 
 fn cmul_scale_rows_scalar(dst: &mut [Complex], src: &[Complex], c: Complex, s: f64) {
@@ -352,19 +568,31 @@ fn cmul_scale_rows_scalar(dst: &mut [Complex], src: &[Complex], c: Complex, s: f
     }
 }
 
-/// In-place row multiply by a broadcast complex constant: `v ← v·c`
-/// (the Bluestein kernel-spectrum pass).
-#[inline]
-pub fn cmul_inplace(be: Backend, row: &mut [Complex], c: Complex) {
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::cmul_inplace_avx512(row, c) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::cmul_inplace_avx2(row, c) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::cmul_inplace_sse2(row, c) },
-        _ => cmul_inplace_scalar(row, c),
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn cmul_scale_rows_lanes<L: Lanes>(
+    dst: &mut [Complex],
+    src: &[Complex],
+    c: Complex,
+    s: f64,
+) {
+    debug_assert_eq!(dst.len(), src.len());
+    let n = dst.len().min(src.len());
+    let (dst, src) = (&mut dst[..n], &src[..n]);
+    let (cv, sv) = (L::splat_c(c), L::splat(s));
+    let done = n / L::C * L::C;
+    for (d, x) in dst.chunks_exact_mut(L::C).zip(src.chunks_exact(L::C)) {
+        L::store(flat_mut(d), L::mul(L::cmul(L::load(flat(x)), cv), sv));
     }
+    cmul_scale_rows_scalar(&mut dst[done..], &src[done..], c, s);
+}
+
+kernel! {
+    /// In-place row multiply by a broadcast complex constant: `v ← v·c`
+    /// (the Bluestein kernel-spectrum pass).
+    cmul_inplace(row: &mut [Complex], c: Complex) = cmul_inplace_scalar | cmul_inplace_lanes
 }
 
 fn cmul_inplace_scalar(row: &mut [Complex], c: Complex) {
@@ -373,19 +601,25 @@ fn cmul_inplace_scalar(row: &mut [Complex], c: Complex) {
     }
 }
 
-/// In-place circulant weight sweep: `v ← (c·v)·s` with a broadcast complex
-/// weight and real scale (the `CirculantSolver` per-bin multiply).
-#[inline]
-pub fn cmul_scale_inplace(be: Backend, row: &mut [Complex], c: Complex, s: f64) {
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::cmul_scale_inplace_avx512(row, c, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::cmul_scale_inplace_avx2(row, c, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::cmul_scale_inplace_sse2(row, c, s) },
-        _ => cmul_scale_inplace_scalar(row, c, s),
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn cmul_inplace_lanes<L: Lanes>(row: &mut [Complex], c: Complex) {
+    let cv = L::splat_c(c);
+    let done = row.len() / L::C * L::C;
+    for v in row.chunks_exact_mut(L::C) {
+        let v = flat_mut(v);
+        L::store(v, L::cmul(L::load(v), cv));
     }
+    cmul_inplace_scalar(&mut row[done..], c);
+}
+
+kernel! {
+    /// In-place circulant weight sweep: `v ← (c·v)·s` with a broadcast complex
+    /// weight and real scale (the `CirculantSolver` per-bin multiply).
+    cmul_scale_inplace(row: &mut [Complex], c: Complex, s: f64)
+        = cmul_scale_inplace_scalar | cmul_scale_inplace_lanes
 }
 
 fn cmul_scale_inplace_scalar(row: &mut [Complex], c: Complex, s: f64) {
@@ -394,42 +628,50 @@ fn cmul_scale_inplace_scalar(row: &mut [Complex], c: Complex, s: f64) {
     }
 }
 
-/// In-place real scale of a complex buffer: `v ← v·s` on both components
-/// (the inverse-FFT `1/M` normalisation).
-#[inline]
-pub fn scale_complex(be: Backend, data: &mut [Complex], s: f64) {
-    // A complex scale is an elementwise f64 scale of the interleaved pairs.
-    let flat = complex_as_flat_mut(data);
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::scale_f64_avx512(flat, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::scale_f64_avx2(flat, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::scale_f64_sse2(flat, s) },
-        _ => scale_f64_scalar(flat, s),
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn cmul_scale_inplace_lanes<L: Lanes>(row: &mut [Complex], c: Complex, s: f64) {
+    let (cv, sv) = (L::splat_c(c), L::splat(s));
+    let done = row.len() / L::C * L::C;
+    for v in row.chunks_exact_mut(L::C) {
+        let v = flat_mut(v);
+        L::store(v, L::mul(L::cmul(L::load(v), cv), sv));
     }
+    cmul_scale_inplace_scalar(&mut row[done..], c, s);
 }
 
-fn scale_f64_scalar(data: &mut [f64], s: f64) {
-    for v in data.iter_mut() {
+kernel! {
+    /// In-place real scale of a complex buffer: `v ← v·s` on both components
+    /// (the inverse-FFT `1/M` normalisation).
+    scale_complex(data: &mut [Complex], s: f64) = scale_complex_scalar | scale_complex_lanes
+}
+
+fn scale_complex_scalar(data: &mut [Complex], s: f64) {
+    // A complex scale is an elementwise f64 scale of the interleaved pairs.
+    for v in flat_mut(data) {
         *v *= s;
     }
 }
 
-/// Out-of-place row scale: `dst[i] = s·src[i]` (the FWHT gather sweep).
-#[inline]
-pub fn mul_rows_f64(be: Backend, dst: &mut [f64], src: &[f64], s: f64) {
-    debug_assert_eq!(dst.len(), src.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::mul_rows_f64_avx512(dst, src, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::mul_rows_f64_avx2(dst, src, s) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::mul_rows_f64_sse2(dst, src, s) },
-        _ => mul_rows_f64_scalar(dst, src, s),
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn scale_complex_lanes<L: Lanes>(data: &mut [Complex], s: f64) {
+    let sv = L::splat(s);
+    let done = data.len() / L::C * L::C;
+    for v in data.chunks_exact_mut(L::C) {
+        let v = flat_mut(v);
+        L::store(v, L::mul(L::load(v), sv));
     }
+    scale_complex_scalar(&mut data[done..], s);
+}
+
+kernel! {
+    /// Out-of-place row scale: `dst[i] = s·src[i]` (the FWHT gather sweep).
+    mul_rows_f64(dst: &mut [f64], src: &[f64], s: f64) = mul_rows_f64_scalar | mul_rows_f64_lanes
 }
 
 fn mul_rows_f64_scalar(dst: &mut [f64], src: &[f64], s: f64) {
@@ -438,18 +680,26 @@ fn mul_rows_f64_scalar(dst: &mut [f64], src: &[f64], s: f64) {
     }
 }
 
-/// Widens a real row into a complex row: `dst[i] = src[i] + 0i` (the
-/// panel-solve copy-in). Pure data movement — trivially bit-exact.
-#[inline]
-pub fn widen_re(be: Backend, dst: &mut [Complex], src: &[f64]) {
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn mul_rows_f64_lanes<L: Lanes>(dst: &mut [f64], src: &[f64], s: f64) {
     debug_assert_eq!(dst.len(), src.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 => unsafe { x86::widen_re_avx2(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::widen_re_sse2(dst, src) },
-        _ => widen_re_scalar(dst, src),
+    let n = dst.len().min(src.len());
+    let (dst, src) = (&mut dst[..n], &src[..n]);
+    let sv = L::splat(s);
+    let done = n / L::N * L::N;
+    for (d, x) in dst.chunks_exact_mut(L::N).zip(src.chunks_exact(L::N)) {
+        L::store(d, L::mul(sv, L::load(x)));
     }
+    mul_rows_f64_scalar(&mut dst[done..], &src[done..], s);
+}
+
+kernel! {
+    /// Widens a real row into a complex row: `dst[i] = src[i] + 0i` (the
+    /// panel-solve copy-in). Pure data movement — trivially bit-exact.
+    widen_re(dst: &mut [Complex], src: &[f64]) = widen_re_scalar | widen_re_lanes
 }
 
 fn widen_re_scalar(dst: &mut [Complex], src: &[f64]) {
@@ -458,18 +708,28 @@ fn widen_re_scalar(dst: &mut [Complex], src: &[f64]) {
     }
 }
 
-/// Narrows a complex row to its real parts: `dst[i] = src[i].re` (the
-/// panel-solve copy-out). Pure data movement — trivially bit-exact.
-#[inline]
-pub fn narrow_re(be: Backend, dst: &mut [f64], src: &[Complex]) {
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn widen_re_lanes<L: Lanes>(dst: &mut [Complex], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    match be {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 => unsafe { x86::narrow_re_avx2(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::narrow_re_sse2(dst, src) },
-        _ => narrow_re_scalar(dst, src),
+    let n = dst.len().min(src.len());
+    let (dst, src) = (&mut dst[..n], &src[..n]);
+    let done = n / L::N * L::N;
+    for (d, x) in dst.chunks_exact_mut(L::N).zip(src.chunks_exact(L::N)) {
+        let (lo, hi) = L::widen(L::load(x));
+        let (dlo, dhi) = flat_mut(d).split_at_mut(L::N);
+        L::store(dlo, lo);
+        L::store(dhi, hi);
     }
+    widen_re_scalar(&mut dst[done..], &src[done..]);
+}
+
+kernel! {
+    /// Narrows a complex row to its real parts: `dst[i] = src[i].re` (the
+    /// panel-solve copy-out). Pure data movement — trivially bit-exact.
+    narrow_re(dst: &mut [f64], src: &[Complex]) = narrow_re_scalar | narrow_re_lanes
 }
 
 fn narrow_re_scalar(dst: &mut [f64], src: &[Complex]) {
@@ -478,781 +738,139 @@ fn narrow_re_scalar(dst: &mut [f64], src: &[Complex]) {
     }
 }
 
-/// Views a complex slice as its interleaved `re, im, re, im …` storage.
-/// Sound because [`Complex`] is `#[repr(C)]` with two `f64` fields.
-fn complex_as_flat_mut(data: &mut [Complex]) -> &mut [f64] {
-    // SAFETY: Complex is repr(C) { re: f64, im: f64 }, so a slice of n
-    // Complex is exactly 2n contiguous, aligned f64 values.
-    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr() as *mut f64, data.len() * 2) }
+/// # Safety
+///
+/// The running CPU supports `L`'s instruction set.
+#[inline(always)]
+unsafe fn narrow_re_lanes<L: Lanes>(dst: &mut [f64], src: &[Complex]) {
+    debug_assert_eq!(dst.len(), src.len());
+    let n = dst.len().min(src.len());
+    let (dst, src) = (&mut dst[..n], &src[..n]);
+    let done = n / L::N * L::N;
+    for (d, x) in dst.chunks_exact_mut(L::N).zip(src.chunks_exact(L::N)) {
+        let (lo, hi) = flat(x).split_at(L::N);
+        L::store(d, L::narrow(L::load(lo), L::load(hi)));
+    }
+    narrow_re_scalar(&mut dst[done..], &src[done..]);
 }
 
 // ---------------------------------------------------------------------
-// x86-64 implementations
+// x86-64 lanes: the only place intrinsics appear
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::*;
+    use super::Lanes;
     use std::arch::x86_64::*;
 
-    // Complex lanes are interleaved [re0, im0, re1, im1]; `permute(v, 0b0101)`
-    // swaps each pair to [im0, re0, im1, re1]. With broadcast cr = c.re,
-    // ci = c.im:
-    //     addsub(v·cr, swap(v)·ci)
-    //       = [v.re·c.re − v.im·c.im, v.im·c.re + v.re·c.im]
-    // which matches the scalar product's real part exactly and its imaginary
-    // part up to addition order (IEEE addition commutes, so bitwise equal).
-
-    // AVX-512F has no `addsub`, so the complex multiply negates the even
-    // (real) lanes of the second product with a sign-bit XOR before a plain
-    // add: x + (−y) ≡ x − y under IEEE-754. The XOR goes through the
-    // integer domain (`xor_si512`) because `_mm512_xor_pd` needs AVX-512DQ.
-
-    /// Sign mask with −0.0 in the even (real) lanes.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn neg_even_512() -> __m512d {
-        _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0)
+    /// Declares lane ops, each `#[inline(always)]` so its intrinsic inlines
+    /// into the `#[target_feature]` entry point that calls it.
+    macro_rules! ops {
+        ($(fn $name:ident($($a:ident: $t:ty),*) $(-> $r:ty)? $body:block)*) => {
+            $(#[inline(always)] unsafe fn $name($($a: $t),*) $(-> $r)? $body)*
+        };
     }
 
-    /// `x ^ y` on f64 lanes using AVX-512F-only integer XOR.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn xor_pd_512(x: __m512d, y: __m512d) -> __m512d {
-        _mm512_castsi512_pd(_mm512_xor_si512(
-            _mm512_castpd_si512(x),
-            _mm512_castpd_si512(y),
-        ))
-    }
+    /// 128-bit SSE2: one complex value per vector.
+    pub struct Sse2;
+    /// 256-bit AVX2.
+    pub struct Avx2;
+    /// 512-bit AVX-512F.
+    pub struct Avx512;
 
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn butterfly_f64_avx512(top: &mut [f64], bottom: &mut [f64]) {
-        let n = top.len();
-        let tp = top.as_mut_ptr();
-        let bp = bottom.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            let x = _mm512_loadu_pd(tp.add(i));
-            let y = _mm512_loadu_pd(bp.add(i));
-            _mm512_storeu_pd(tp.add(i), _mm512_add_pd(x, y));
-            _mm512_storeu_pd(bp.add(i), _mm512_sub_pd(x, y));
-            i += 8;
-        }
-        super::butterfly_f64_scalar(&mut top[i..], &mut bottom[i..]);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn butterfly_i64_avx512(top: &mut [i64], bottom: &mut [i64]) {
-        let n = top.len();
-        let tp = top.as_mut_ptr();
-        let bp = bottom.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            let x = _mm512_loadu_si512(tp.add(i) as *const __m512i);
-            let y = _mm512_loadu_si512(bp.add(i) as *const __m512i);
-            _mm512_storeu_si512(tp.add(i) as *mut __m512i, _mm512_add_epi64(x, y));
-            _mm512_storeu_si512(bp.add(i) as *mut __m512i, _mm512_sub_epi64(x, y));
-            i += 8;
-        }
-        super::butterfly_i64_scalar(&mut top[i..], &mut bottom[i..]);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn butterfly_complex_avx512(
-        top: &mut [Complex],
-        bottom: &mut [Complex],
-        w: Complex,
-    ) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm512_set1_pd(w.re);
-        let wim = _mm512_set1_pd(w.im);
-        let neg = neg_even_512();
-        let mut i = 0;
-        while i + 4 <= n {
-            let u = _mm512_loadu_pd(tp.add(2 * i));
-            let b = _mm512_loadu_pd(bp.add(2 * i));
-            let bs = _mm512_permute_pd(b, 0x55);
-            let t2 = xor_pd_512(_mm512_mul_pd(bs, wim), neg);
-            let v = _mm512_add_pd(_mm512_mul_pd(b, wre), t2);
-            _mm512_storeu_pd(tp.add(2 * i), _mm512_add_pd(u, v));
-            _mm512_storeu_pd(bp.add(2 * i), _mm512_sub_pd(u, v));
-            i += 4;
-        }
-        butterfly_complex_avx2(&mut top[i..], &mut bottom[i..], w);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn butterfly_complex_scale_avx512(
-        top: &mut [Complex],
-        bottom: &mut [Complex],
-        w: Complex,
-        s: f64,
-    ) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm512_set1_pd(w.re);
-        let wim = _mm512_set1_pd(w.im);
-        let sv = _mm512_set1_pd(s);
-        let neg = neg_even_512();
-        let mut i = 0;
-        while i + 4 <= n {
-            let u = _mm512_loadu_pd(tp.add(2 * i));
-            let b = _mm512_loadu_pd(bp.add(2 * i));
-            let bs = _mm512_permute_pd(b, 0x55);
-            let t2 = xor_pd_512(_mm512_mul_pd(bs, wim), neg);
-            let v = _mm512_add_pd(_mm512_mul_pd(b, wre), t2);
-            _mm512_storeu_pd(tp.add(2 * i), _mm512_mul_pd(_mm512_add_pd(u, v), sv));
-            _mm512_storeu_pd(bp.add(2 * i), _mm512_mul_pd(_mm512_sub_pd(u, v), sv));
-            i += 4;
-        }
-        butterfly_complex_scale_avx2(&mut top[i..], &mut bottom[i..], w, s);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn butterfly_complex_scale_avx2(
-        top: &mut [Complex],
-        bottom: &mut [Complex],
-        w: Complex,
-        s: f64,
-    ) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm256_set1_pd(w.re);
-        let wim = _mm256_set1_pd(w.im);
-        let sv = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i + 2 <= n {
-            let u = _mm256_loadu_pd(tp.add(2 * i));
-            let b = _mm256_loadu_pd(bp.add(2 * i));
-            let bs = _mm256_permute_pd(b, 0b0101);
-            let v = _mm256_addsub_pd(_mm256_mul_pd(b, wre), _mm256_mul_pd(bs, wim));
-            _mm256_storeu_pd(tp.add(2 * i), _mm256_mul_pd(_mm256_add_pd(u, v), sv));
-            _mm256_storeu_pd(bp.add(2 * i), _mm256_mul_pd(_mm256_sub_pd(u, v), sv));
-            i += 2;
-        }
-        super::butterfly_complex_scale_scalar(&mut top[i..], &mut bottom[i..], w, s);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn butterfly_complex_scale_sse2(
-        top: &mut [Complex],
-        bottom: &mut [Complex],
-        w: Complex,
-        s: f64,
-    ) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm_set1_pd(w.re);
-        let wim = _mm_set1_pd(w.im);
-        let sv = _mm_set1_pd(s);
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let mut i = 0;
-        while i < n {
-            let u = _mm_loadu_pd(tp.add(2 * i));
-            let b = _mm_loadu_pd(bp.add(2 * i));
-            let bs = _mm_shuffle_pd(b, b, 0b01);
-            let t2 = _mm_xor_pd(_mm_mul_pd(bs, wim), neg_lo);
-            let v = _mm_add_pd(_mm_mul_pd(b, wre), t2);
-            _mm_storeu_pd(tp.add(2 * i), _mm_mul_pd(_mm_add_pd(u, v), sv));
-            _mm_storeu_pd(bp.add(2 * i), _mm_mul_pd(_mm_sub_pd(u, v), sv));
-            i += 1;
+    impl Lanes for Sse2 {
+        const N: usize = 2;
+        type F = __m128d;
+        type I = __m128i;
+        ops! {
+            fn load(src: &[f64]) -> __m128d { _mm_loadu_pd(src.as_ptr()) }
+            fn store(dst: &mut [f64], v: __m128d) { _mm_storeu_pd(dst.as_mut_ptr(), v) }
+            fn splat(x: f64) -> __m128d { _mm_set1_pd(x) }
+            fn add(a: __m128d, b: __m128d) -> __m128d { _mm_add_pd(a, b) }
+            fn sub(a: __m128d, b: __m128d) -> __m128d { _mm_sub_pd(a, b) }
+            fn mul(a: __m128d, b: __m128d) -> __m128d { _mm_mul_pd(a, b) }
+            // No `addsub` before SSE3: flip the sign of the low (real) lane.
+            fn addsub(a: __m128d, b: __m128d) -> __m128d {
+                _mm_add_pd(a, _mm_xor_pd(b, _mm_set_pd(0.0, -0.0)))
+            }
+            fn swap(v: __m128d) -> __m128d { _mm_shuffle_pd(v, v, 0b01) }
+            fn widen(v: __m128d) -> (__m128d, __m128d) {
+                let zero = _mm_setzero_pd();
+                (_mm_unpacklo_pd(v, zero), _mm_unpackhi_pd(v, zero))
+            }
+            fn narrow(a: __m128d, b: __m128d) -> __m128d { _mm_unpacklo_pd(a, b) }
+            fn load_i(src: &[i64]) -> __m128i { _mm_loadu_si128(src.as_ptr().cast()) }
+            fn store_i(dst: &mut [i64], v: __m128i) { _mm_storeu_si128(dst.as_mut_ptr().cast(), v) }
+            fn add_i(a: __m128i, b: __m128i) -> __m128i { _mm_add_epi64(a, b) }
+            fn sub_i(a: __m128i, b: __m128i) -> __m128i { _mm_sub_epi64(a, b) }
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn butterfly_complex_postmul_avx512(
-        top: &mut [Complex],
-        bottom: &mut [Complex],
-        w: Complex,
-        ct: Complex,
-        cb: Complex,
-    ) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm512_set1_pd(w.re);
-        let wim = _mm512_set1_pd(w.im);
-        let ctre = _mm512_set1_pd(ct.re);
-        let ctim = _mm512_set1_pd(ct.im);
-        let cbre = _mm512_set1_pd(cb.re);
-        let cbim = _mm512_set1_pd(cb.im);
-        let neg = neg_even_512();
-        let mut i = 0;
-        while i + 4 <= n {
-            let u = _mm512_loadu_pd(tp.add(2 * i));
-            let b = _mm512_loadu_pd(bp.add(2 * i));
-            let bs = _mm512_permute_pd(b, 0x55);
-            let t2 = xor_pd_512(_mm512_mul_pd(bs, wim), neg);
-            let v = _mm512_add_pd(_mm512_mul_pd(b, wre), t2);
-            let a = _mm512_add_pd(u, v);
-            let d = _mm512_sub_pd(u, v);
-            let at = xor_pd_512(_mm512_mul_pd(_mm512_permute_pd(a, 0x55), ctim), neg);
-            _mm512_storeu_pd(tp.add(2 * i), _mm512_add_pd(_mm512_mul_pd(a, ctre), at));
-            let dt = xor_pd_512(_mm512_mul_pd(_mm512_permute_pd(d, 0x55), cbim), neg);
-            _mm512_storeu_pd(bp.add(2 * i), _mm512_add_pd(_mm512_mul_pd(d, cbre), dt));
-            i += 4;
-        }
-        butterfly_complex_postmul_avx2(&mut top[i..], &mut bottom[i..], w, ct, cb);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn butterfly_complex_postmul_avx2(
-        top: &mut [Complex],
-        bottom: &mut [Complex],
-        w: Complex,
-        ct: Complex,
-        cb: Complex,
-    ) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm256_set1_pd(w.re);
-        let wim = _mm256_set1_pd(w.im);
-        let ctre = _mm256_set1_pd(ct.re);
-        let ctim = _mm256_set1_pd(ct.im);
-        let cbre = _mm256_set1_pd(cb.re);
-        let cbim = _mm256_set1_pd(cb.im);
-        let mut i = 0;
-        while i + 2 <= n {
-            let u = _mm256_loadu_pd(tp.add(2 * i));
-            let b = _mm256_loadu_pd(bp.add(2 * i));
-            let bs = _mm256_permute_pd(b, 0b0101);
-            let v = _mm256_addsub_pd(_mm256_mul_pd(b, wre), _mm256_mul_pd(bs, wim));
-            let a = _mm256_add_pd(u, v);
-            let d = _mm256_sub_pd(u, v);
-            let ra = _mm256_addsub_pd(
-                _mm256_mul_pd(a, ctre),
-                _mm256_mul_pd(_mm256_permute_pd(a, 0b0101), ctim),
-            );
-            _mm256_storeu_pd(tp.add(2 * i), ra);
-            let rd = _mm256_addsub_pd(
-                _mm256_mul_pd(d, cbre),
-                _mm256_mul_pd(_mm256_permute_pd(d, 0b0101), cbim),
-            );
-            _mm256_storeu_pd(bp.add(2 * i), rd);
-            i += 2;
-        }
-        super::butterfly_complex_postmul_scalar(&mut top[i..], &mut bottom[i..], w, ct, cb);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn butterfly_complex_postmul_sse2(
-        top: &mut [Complex],
-        bottom: &mut [Complex],
-        w: Complex,
-        ct: Complex,
-        cb: Complex,
-    ) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm_set1_pd(w.re);
-        let wim = _mm_set1_pd(w.im);
-        let ctre = _mm_set1_pd(ct.re);
-        let ctim = _mm_set1_pd(ct.im);
-        let cbre = _mm_set1_pd(cb.re);
-        let cbim = _mm_set1_pd(cb.im);
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let mut i = 0;
-        while i < n {
-            let u = _mm_loadu_pd(tp.add(2 * i));
-            let b = _mm_loadu_pd(bp.add(2 * i));
-            let bs = _mm_shuffle_pd(b, b, 0b01);
-            let t2 = _mm_xor_pd(_mm_mul_pd(bs, wim), neg_lo);
-            let v = _mm_add_pd(_mm_mul_pd(b, wre), t2);
-            let a = _mm_add_pd(u, v);
-            let d = _mm_sub_pd(u, v);
-            let at = _mm_xor_pd(_mm_mul_pd(_mm_shuffle_pd(a, a, 0b01), ctim), neg_lo);
-            _mm_storeu_pd(tp.add(2 * i), _mm_add_pd(_mm_mul_pd(a, ctre), at));
-            let dt = _mm_xor_pd(_mm_mul_pd(_mm_shuffle_pd(d, d, 0b01), cbim), neg_lo);
-            _mm_storeu_pd(bp.add(2 * i), _mm_add_pd(_mm_mul_pd(d, cbre), dt));
-            i += 1;
+    impl Lanes for Avx2 {
+        const N: usize = 4;
+        type F = __m256d;
+        type I = __m256i;
+        ops! {
+            fn load(src: &[f64]) -> __m256d { _mm256_loadu_pd(src.as_ptr()) }
+            fn store(dst: &mut [f64], v: __m256d) { _mm256_storeu_pd(dst.as_mut_ptr(), v) }
+            fn splat(x: f64) -> __m256d { _mm256_set1_pd(x) }
+            fn add(a: __m256d, b: __m256d) -> __m256d { _mm256_add_pd(a, b) }
+            fn sub(a: __m256d, b: __m256d) -> __m256d { _mm256_sub_pd(a, b) }
+            fn mul(a: __m256d, b: __m256d) -> __m256d { _mm256_mul_pd(a, b) }
+            fn addsub(a: __m256d, b: __m256d) -> __m256d { _mm256_addsub_pd(a, b) }
+            fn swap(v: __m256d) -> __m256d { _mm256_permute_pd(v, 0b0101) }
+            // [v0, v2, v1, v3], so the in-lane unpacks yield interleaved pairs.
+            fn widen(v: __m256d) -> (__m256d, __m256d) {
+                let (v, zero) = (_mm256_permute4x64_pd(v, 0xD8), _mm256_setzero_pd());
+                (_mm256_unpacklo_pd(v, zero), _mm256_unpackhi_pd(v, zero))
+            }
+            fn narrow(a: __m256d, b: __m256d) -> __m256d {
+                _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0xD8)
+            }
+            fn load_i(src: &[i64]) -> __m256i { _mm256_loadu_si256(src.as_ptr().cast()) }
+            fn store_i(dst: &mut [i64], v: __m256i) {
+                _mm256_storeu_si256(dst.as_mut_ptr().cast(), v)
+            }
+            fn add_i(a: __m256i, b: __m256i) -> __m256i { _mm256_add_epi64(a, b) }
+            fn sub_i(a: __m256i, b: __m256i) -> __m256i { _mm256_sub_epi64(a, b) }
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn cmul_rows_avx512(dst: &mut [Complex], src: &[Complex], c: Complex) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let cre = _mm512_set1_pd(c.re);
-        let cim = _mm512_set1_pd(c.im);
-        let neg = neg_even_512();
-        let mut i = 0;
-        while i + 4 <= n {
-            let s = _mm512_loadu_pd(sp.add(2 * i));
-            let ss = _mm512_permute_pd(s, 0x55);
-            let t2 = xor_pd_512(_mm512_mul_pd(ss, cim), neg);
-            let r = _mm512_add_pd(_mm512_mul_pd(s, cre), t2);
-            _mm512_storeu_pd(dp.add(2 * i), r);
-            i += 4;
+    impl Lanes for Avx512 {
+        const N: usize = 8;
+        type F = __m512d;
+        type I = __m512i;
+        ops! {
+            fn load(src: &[f64]) -> __m512d { _mm512_loadu_pd(src.as_ptr()) }
+            fn store(dst: &mut [f64], v: __m512d) { _mm512_storeu_pd(dst.as_mut_ptr(), v) }
+            fn splat(x: f64) -> __m512d { _mm512_set1_pd(x) }
+            fn add(a: __m512d, b: __m512d) -> __m512d { _mm512_add_pd(a, b) }
+            fn sub(a: __m512d, b: __m512d) -> __m512d { _mm512_sub_pd(a, b) }
+            fn mul(a: __m512d, b: __m512d) -> __m512d { _mm512_mul_pd(a, b) }
+            // No `addsub`: flip the sign of the even (real) lanes. The XOR runs
+            // on integer lanes because `_mm512_xor_pd` needs AVX-512DQ.
+            fn addsub(a: __m512d, b: __m512d) -> __m512d {
+                let neg = _mm512_set_epi64(0, i64::MIN, 0, i64::MIN, 0, i64::MIN, 0, i64::MIN);
+                _mm512_add_pd(a, _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(b), neg)))
+            }
+            fn swap(v: __m512d) -> __m512d { _mm512_permute_pd(v, 0x55) }
+            // Index 8 picks lane 0 of the zero vector.
+            fn widen(v: __m512d) -> (__m512d, __m512d) {
+                let zero = _mm512_setzero_pd();
+                let lo = _mm512_permutex2var_pd(v, _mm512_set_epi64(8, 3, 8, 2, 8, 1, 8, 0), zero);
+                let hi = _mm512_permutex2var_pd(v, _mm512_set_epi64(8, 7, 8, 6, 8, 5, 8, 4), zero);
+                (lo, hi)
+            }
+            fn narrow(a: __m512d, b: __m512d) -> __m512d {
+                _mm512_permutex2var_pd(a, _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0), b)
+            }
+            fn load_i(src: &[i64]) -> __m512i { _mm512_loadu_si512(src.as_ptr().cast()) }
+            fn store_i(dst: &mut [i64], v: __m512i) {
+                _mm512_storeu_si512(dst.as_mut_ptr().cast(), v)
+            }
+            fn add_i(a: __m512i, b: __m512i) -> __m512i { _mm512_add_epi64(a, b) }
+            fn sub_i(a: __m512i, b: __m512i) -> __m512i { _mm512_sub_epi64(a, b) }
         }
-        cmul_rows_avx2(&mut dst[i..], &src[i..], c);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn cmul_scale_rows_avx512(dst: &mut [Complex], src: &[Complex], c: Complex, s: f64) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let cre = _mm512_set1_pd(c.re);
-        let cim = _mm512_set1_pd(c.im);
-        let sv = _mm512_set1_pd(s);
-        let neg = neg_even_512();
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = _mm512_loadu_pd(sp.add(2 * i));
-            let xs = _mm512_permute_pd(x, 0x55);
-            let t2 = xor_pd_512(_mm512_mul_pd(xs, cim), neg);
-            let r = _mm512_add_pd(_mm512_mul_pd(x, cre), t2);
-            _mm512_storeu_pd(dp.add(2 * i), _mm512_mul_pd(r, sv));
-            i += 4;
-        }
-        cmul_scale_rows_avx2(&mut dst[i..], &src[i..], c, s);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn cmul_inplace_avx512(row: &mut [Complex], c: Complex) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let cre = _mm512_set1_pd(c.re);
-        let cim = _mm512_set1_pd(c.im);
-        let neg = neg_even_512();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm512_loadu_pd(p.add(2 * i));
-            let vs = _mm512_permute_pd(v, 0x55);
-            let t2 = xor_pd_512(_mm512_mul_pd(vs, cim), neg);
-            let r = _mm512_add_pd(_mm512_mul_pd(v, cre), t2);
-            _mm512_storeu_pd(p.add(2 * i), r);
-            i += 4;
-        }
-        cmul_inplace_avx2(&mut row[i..], c);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn cmul_scale_inplace_avx512(row: &mut [Complex], c: Complex, s: f64) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let cre = _mm512_set1_pd(c.re);
-        let cim = _mm512_set1_pd(c.im);
-        let sv = _mm512_set1_pd(s);
-        let neg = neg_even_512();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm512_loadu_pd(p.add(2 * i));
-            let vs = _mm512_permute_pd(v, 0x55);
-            let t2 = xor_pd_512(_mm512_mul_pd(vs, cim), neg);
-            let r = _mm512_add_pd(_mm512_mul_pd(v, cre), t2);
-            _mm512_storeu_pd(p.add(2 * i), _mm512_mul_pd(r, sv));
-            i += 4;
-        }
-        cmul_scale_inplace_avx2(&mut row[i..], c, s);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn scale_f64_avx512(data: &mut [f64], s: f64) {
-        let n = data.len();
-        let p = data.as_mut_ptr();
-        let sv = _mm512_set1_pd(s);
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm512_storeu_pd(p.add(i), _mm512_mul_pd(_mm512_loadu_pd(p.add(i)), sv));
-            i += 8;
-        }
-        super::scale_f64_scalar(&mut data[i..], s);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn mul_rows_f64_avx512(dst: &mut [f64], src: &[f64], s: f64) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let sv = _mm512_set1_pd(s);
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm512_storeu_pd(dp.add(i), _mm512_mul_pd(sv, _mm512_loadu_pd(sp.add(i))));
-            i += 8;
-        }
-        super::mul_rows_f64_scalar(&mut dst[i..], &src[i..], s);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn butterfly_f64_avx2(top: &mut [f64], bottom: &mut [f64]) {
-        let n = top.len();
-        let tp = top.as_mut_ptr();
-        let bp = bottom.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = _mm256_loadu_pd(tp.add(i));
-            let y = _mm256_loadu_pd(bp.add(i));
-            _mm256_storeu_pd(tp.add(i), _mm256_add_pd(x, y));
-            _mm256_storeu_pd(bp.add(i), _mm256_sub_pd(x, y));
-            i += 4;
-        }
-        super::butterfly_f64_scalar(&mut top[i..], &mut bottom[i..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn butterfly_f64_sse2(top: &mut [f64], bottom: &mut [f64]) {
-        let n = top.len();
-        let tp = top.as_mut_ptr();
-        let bp = bottom.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let x = _mm_loadu_pd(tp.add(i));
-            let y = _mm_loadu_pd(bp.add(i));
-            _mm_storeu_pd(tp.add(i), _mm_add_pd(x, y));
-            _mm_storeu_pd(bp.add(i), _mm_sub_pd(x, y));
-            i += 2;
-        }
-        super::butterfly_f64_scalar(&mut top[i..], &mut bottom[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn butterfly_i64_avx2(top: &mut [i64], bottom: &mut [i64]) {
-        let n = top.len();
-        let tp = top.as_mut_ptr();
-        let bp = bottom.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = _mm256_loadu_si256(tp.add(i) as *const __m256i);
-            let y = _mm256_loadu_si256(bp.add(i) as *const __m256i);
-            _mm256_storeu_si256(tp.add(i) as *mut __m256i, _mm256_add_epi64(x, y));
-            _mm256_storeu_si256(bp.add(i) as *mut __m256i, _mm256_sub_epi64(x, y));
-            i += 4;
-        }
-        super::butterfly_i64_scalar(&mut top[i..], &mut bottom[i..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn butterfly_i64_sse2(top: &mut [i64], bottom: &mut [i64]) {
-        let n = top.len();
-        let tp = top.as_mut_ptr();
-        let bp = bottom.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let x = _mm_loadu_si128(tp.add(i) as *const __m128i);
-            let y = _mm_loadu_si128(bp.add(i) as *const __m128i);
-            _mm_storeu_si128(tp.add(i) as *mut __m128i, _mm_add_epi64(x, y));
-            _mm_storeu_si128(bp.add(i) as *mut __m128i, _mm_sub_epi64(x, y));
-            i += 2;
-        }
-        super::butterfly_i64_scalar(&mut top[i..], &mut bottom[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn butterfly_complex_avx2(top: &mut [Complex], bottom: &mut [Complex], w: Complex) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm256_set1_pd(w.re);
-        let wim = _mm256_set1_pd(w.im);
-        let mut i = 0;
-        while i + 2 <= n {
-            let u = _mm256_loadu_pd(tp.add(2 * i));
-            let b = _mm256_loadu_pd(bp.add(2 * i));
-            let bs = _mm256_permute_pd(b, 0b0101);
-            let v = _mm256_addsub_pd(_mm256_mul_pd(b, wre), _mm256_mul_pd(bs, wim));
-            _mm256_storeu_pd(tp.add(2 * i), _mm256_add_pd(u, v));
-            _mm256_storeu_pd(bp.add(2 * i), _mm256_sub_pd(u, v));
-            i += 2;
-        }
-        super::butterfly_complex_scalar(&mut top[i..], &mut bottom[i..], w);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn butterfly_complex_sse2(top: &mut [Complex], bottom: &mut [Complex], w: Complex) {
-        let n = top.len();
-        let tp = top.as_mut_ptr() as *mut f64;
-        let bp = bottom.as_mut_ptr() as *mut f64;
-        let wre = _mm_set1_pd(w.re);
-        let wim = _mm_set1_pd(w.im);
-        // Sign-flip mask for the low (real) lane: x + (−y) ≡ x − y.
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let mut i = 0;
-        while i < n {
-            let u = _mm_loadu_pd(tp.add(2 * i));
-            let b = _mm_loadu_pd(bp.add(2 * i));
-            let bs = _mm_shuffle_pd(b, b, 0b01);
-            let t2 = _mm_xor_pd(_mm_mul_pd(bs, wim), neg_lo);
-            let v = _mm_add_pd(_mm_mul_pd(b, wre), t2);
-            _mm_storeu_pd(tp.add(2 * i), _mm_add_pd(u, v));
-            _mm_storeu_pd(bp.add(2 * i), _mm_sub_pd(u, v));
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_rows_avx2(dst: &mut [Complex], src: &[Complex], c: Complex) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let cre = _mm256_set1_pd(c.re);
-        let cim = _mm256_set1_pd(c.im);
-        let mut i = 0;
-        while i + 2 <= n {
-            let s = _mm256_loadu_pd(sp.add(2 * i));
-            let ss = _mm256_permute_pd(s, 0b0101);
-            let r = _mm256_addsub_pd(_mm256_mul_pd(s, cre), _mm256_mul_pd(ss, cim));
-            _mm256_storeu_pd(dp.add(2 * i), r);
-            i += 2;
-        }
-        super::cmul_rows_scalar(&mut dst[i..], &src[i..], c);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn cmul_rows_sse2(dst: &mut [Complex], src: &[Complex], c: Complex) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let cre = _mm_set1_pd(c.re);
-        let cim = _mm_set1_pd(c.im);
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let mut i = 0;
-        while i < n {
-            let s = _mm_loadu_pd(sp.add(2 * i));
-            let ss = _mm_shuffle_pd(s, s, 0b01);
-            let t2 = _mm_xor_pd(_mm_mul_pd(ss, cim), neg_lo);
-            let r = _mm_add_pd(_mm_mul_pd(s, cre), t2);
-            _mm_storeu_pd(dp.add(2 * i), r);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_scale_rows_avx2(dst: &mut [Complex], src: &[Complex], c: Complex, s: f64) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let cre = _mm256_set1_pd(c.re);
-        let cim = _mm256_set1_pd(c.im);
-        let sv = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i + 2 <= n {
-            let x = _mm256_loadu_pd(sp.add(2 * i));
-            let xs = _mm256_permute_pd(x, 0b0101);
-            let r = _mm256_addsub_pd(_mm256_mul_pd(x, cre), _mm256_mul_pd(xs, cim));
-            _mm256_storeu_pd(dp.add(2 * i), _mm256_mul_pd(r, sv));
-            i += 2;
-        }
-        super::cmul_scale_rows_scalar(&mut dst[i..], &src[i..], c, s);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn cmul_scale_rows_sse2(dst: &mut [Complex], src: &[Complex], c: Complex, s: f64) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let cre = _mm_set1_pd(c.re);
-        let cim = _mm_set1_pd(c.im);
-        let sv = _mm_set1_pd(s);
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let mut i = 0;
-        while i < n {
-            let x = _mm_loadu_pd(sp.add(2 * i));
-            let xs = _mm_shuffle_pd(x, x, 0b01);
-            let t2 = _mm_xor_pd(_mm_mul_pd(xs, cim), neg_lo);
-            let r = _mm_add_pd(_mm_mul_pd(x, cre), t2);
-            _mm_storeu_pd(dp.add(2 * i), _mm_mul_pd(r, sv));
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_inplace_avx2(row: &mut [Complex], c: Complex) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let cre = _mm256_set1_pd(c.re);
-        let cim = _mm256_set1_pd(c.im);
-        let mut i = 0;
-        while i + 2 <= n {
-            let v = _mm256_loadu_pd(p.add(2 * i));
-            let vs = _mm256_permute_pd(v, 0b0101);
-            let r = _mm256_addsub_pd(_mm256_mul_pd(v, cre), _mm256_mul_pd(vs, cim));
-            _mm256_storeu_pd(p.add(2 * i), r);
-            i += 2;
-        }
-        super::cmul_inplace_scalar(&mut row[i..], c);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn cmul_inplace_sse2(row: &mut [Complex], c: Complex) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let cre = _mm_set1_pd(c.re);
-        let cim = _mm_set1_pd(c.im);
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let mut i = 0;
-        while i < n {
-            let v = _mm_loadu_pd(p.add(2 * i));
-            let vs = _mm_shuffle_pd(v, v, 0b01);
-            let t2 = _mm_xor_pd(_mm_mul_pd(vs, cim), neg_lo);
-            let r = _mm_add_pd(_mm_mul_pd(v, cre), t2);
-            _mm_storeu_pd(p.add(2 * i), r);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn cmul_scale_inplace_avx2(row: &mut [Complex], c: Complex, s: f64) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let cre = _mm256_set1_pd(c.re);
-        let cim = _mm256_set1_pd(c.im);
-        let sv = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i + 2 <= n {
-            let v = _mm256_loadu_pd(p.add(2 * i));
-            let vs = _mm256_permute_pd(v, 0b0101);
-            let r = _mm256_addsub_pd(_mm256_mul_pd(v, cre), _mm256_mul_pd(vs, cim));
-            _mm256_storeu_pd(p.add(2 * i), _mm256_mul_pd(r, sv));
-            i += 2;
-        }
-        super::cmul_scale_inplace_scalar(&mut row[i..], c, s);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn cmul_scale_inplace_sse2(row: &mut [Complex], c: Complex, s: f64) {
-        let n = row.len();
-        let p = row.as_mut_ptr() as *mut f64;
-        let cre = _mm_set1_pd(c.re);
-        let cim = _mm_set1_pd(c.im);
-        let sv = _mm_set1_pd(s);
-        let neg_lo = _mm_set_pd(0.0, -0.0);
-        let mut i = 0;
-        while i < n {
-            let v = _mm_loadu_pd(p.add(2 * i));
-            let vs = _mm_shuffle_pd(v, v, 0b01);
-            let t2 = _mm_xor_pd(_mm_mul_pd(vs, cim), neg_lo);
-            let r = _mm_add_pd(_mm_mul_pd(v, cre), t2);
-            _mm_storeu_pd(p.add(2 * i), _mm_mul_pd(r, sv));
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn widen_re_avx2(dst: &mut [Complex], src: &[f64]) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr();
-        let zero = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = _mm256_loadu_pd(sp.add(i));
-            // [x0,x2,x1,x3] so in-lane unpacks yield interleaved pairs.
-            let xp = _mm256_permute4x64_pd(x, 0xD8);
-            _mm256_storeu_pd(dp.add(2 * i), _mm256_unpacklo_pd(xp, zero));
-            _mm256_storeu_pd(dp.add(2 * i + 4), _mm256_unpackhi_pd(xp, zero));
-            i += 4;
-        }
-        super::widen_re_scalar(&mut dst[i..], &src[i..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn widen_re_sse2(dst: &mut [Complex], src: &[f64]) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr();
-        let zero = _mm_setzero_pd();
-        let mut i = 0;
-        while i + 2 <= n {
-            let x = _mm_loadu_pd(sp.add(i));
-            _mm_storeu_pd(dp.add(2 * i), _mm_unpacklo_pd(x, zero));
-            _mm_storeu_pd(dp.add(2 * i + 2), _mm_unpackhi_pd(x, zero));
-            i += 2;
-        }
-        super::widen_re_scalar(&mut dst[i..], &src[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn narrow_re_avx2(dst: &mut [f64], src: &[Complex]) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr() as *const f64;
-        let mut i = 0;
-        while i + 4 <= n {
-            let a = _mm256_loadu_pd(sp.add(2 * i));
-            let b = _mm256_loadu_pd(sp.add(2 * i + 4));
-            let packed = _mm256_unpacklo_pd(a, b);
-            _mm256_storeu_pd(dp.add(i), _mm256_permute4x64_pd(packed, 0xD8));
-            i += 4;
-        }
-        super::narrow_re_scalar(&mut dst[i..], &src[i..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn narrow_re_sse2(dst: &mut [f64], src: &[Complex]) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr() as *const f64;
-        let mut i = 0;
-        while i + 2 <= n {
-            let a = _mm_loadu_pd(sp.add(2 * i));
-            let b = _mm_loadu_pd(sp.add(2 * i + 2));
-            _mm_storeu_pd(dp.add(i), _mm_unpacklo_pd(a, b));
-            i += 2;
-        }
-        super::narrow_re_scalar(&mut dst[i..], &src[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_f64_avx2(data: &mut [f64], s: f64) {
-        let n = data.len();
-        let p = data.as_mut_ptr();
-        let sv = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(p.add(i), _mm256_mul_pd(_mm256_loadu_pd(p.add(i)), sv));
-            i += 4;
-        }
-        super::scale_f64_scalar(&mut data[i..], s);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn scale_f64_sse2(data: &mut [f64], s: f64) {
-        let n = data.len();
-        let p = data.as_mut_ptr();
-        let sv = _mm_set1_pd(s);
-        let mut i = 0;
-        while i + 2 <= n {
-            _mm_storeu_pd(p.add(i), _mm_mul_pd(_mm_loadu_pd(p.add(i)), sv));
-            i += 2;
-        }
-        super::scale_f64_scalar(&mut data[i..], s);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_rows_f64_avx2(dst: &mut [f64], src: &[f64], s: f64) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let sv = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(dp.add(i), _mm256_mul_pd(sv, _mm256_loadu_pd(sp.add(i))));
-            i += 4;
-        }
-        super::mul_rows_f64_scalar(&mut dst[i..], &src[i..], s);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn mul_rows_f64_sse2(dst: &mut [f64], src: &[f64], s: f64) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let sv = _mm_set1_pd(s);
-        let mut i = 0;
-        while i + 2 <= n {
-            _mm_storeu_pd(dp.add(i), _mm_mul_pd(sv, _mm_loadu_pd(sp.add(i))));
-            i += 2;
-        }
-        super::mul_rows_f64_scalar(&mut dst[i..], &src[i..], s);
     }
 }
 

@@ -23,7 +23,7 @@ use htims::core::BatchDeconvolver;
 use htims::fpga::deconv::DeconvConfig;
 use htims::fpga::{AccumulatorCore, DeconvCore, DmaLink, FpgaDevice, ResourceReport};
 use htims::graph::{check_shape, GraphSpec};
-use htims::physics::{Instrument, Workload};
+use htims::physics::{DriftTofMap, Instrument, Workload};
 use htims::prs::{metrics, MSequence, OversampledSequence};
 use htims::signal::panel::{rows_mut, Columns};
 use rand::SeedableRng;
@@ -423,10 +423,6 @@ fn graph_spec(args: &mut Args, base: GraphSpec) -> GraphSpec {
             .map_or(default, |v| Some(v).filter(|v| !v.is_empty()))
     }
     let stall_timeout = args.duration("--stall-timeout");
-    if let Some(d) = stall_timeout.filter(|d| d.as_millis() == 0) {
-        // The watchdog counts whole milliseconds: 0 would fire at once.
-        args.fail(format!("bad --stall-timeout '{d:?}': under 1 ms"));
-    }
     let spec = GraphSpec {
         degree: args.num("--degree").unwrap_or(base.degree),
         mz: args.num("--mz").unwrap_or(base.mz),
@@ -451,7 +447,7 @@ fn graph_spec(args: &mut Args, base: GraphSpec) -> GraphSpec {
         shards: args.num("--shards").unwrap_or(base.shards),
         capture_log: text(args, "--capture-log", base.capture_log),
     };
-    if let Err(e) = spec.check_shape() {
+    if let Err(e) = spec.check() {
         args.fail(e);
     }
     spec
@@ -1271,11 +1267,11 @@ fn chaos(mut args: Args) {
 ///   on a background-free block.
 ///
 /// All engines produce bit-identical output; only the schedule of the
-/// arithmetic differs. Outside the timed region each fixed-point row's
-/// output is compared word for word with its scalar-column row, and a
-/// mismatch exits 1 naming the engine. `speedup_vs_scalar` is relative to
-/// the same method's scalar-column row (sparse rows: the sparse block's own
-/// scalar row).
+/// arithmetic differs. Outside the timed region every row's output is
+/// compared word for word (floats by `to_bits`) with its method's
+/// scalar-column output, and a mismatch exits 1 naming the method and
+/// engine. `speedup_vs_scalar` is relative to the same method's
+/// scalar-column row (sparse rows: the sparse block's own scalar row).
 fn bench(args: Args) {
     let mut argv = args.argv.into_iter();
     let target = argv.next();
@@ -1366,16 +1362,20 @@ fn bench_deconv(mut args: Args) {
             _ => "simplex-fast",
         };
         let solver = method.column_solver(&schedule, &data);
+        let scalar = || apply_columnwise(&data.accumulated, |col| solver(col));
         let scalar_secs = best_secs(repeats, || {
-            std::hint::black_box(apply_columnwise(&data.accumulated, |col| solver(col)));
+            std::hint::black_box(scalar());
         });
         record(name, "scalar-column", 1, 1, scalar_secs, scalar_secs);
+        let reference = float_words(&scalar());
         for &width in widths {
             let engine = BatchDeconvolver::new(&method, &schedule, &data).with_panel_width(width);
             let secs = best_secs(repeats, || {
                 std::hint::black_box(engine.deconvolve_map(&data.accumulated));
             });
             record(name, "batched", 1, width, secs, scalar_secs);
+            let got = float_words(&engine.deconvolve_map(&data.accumulated));
+            check_same_words(name, &format!("batched w{width}"), &reference, &got);
         }
         let panel_width = BatchDeconvolver::new(&method, &schedule, &data).panel_width();
         for &t in &threads {
@@ -1383,6 +1383,8 @@ fn bench_deconv(mut args: Args) {
                 .map(|_| deconvolve_with_threads(&method, &schedule, &data, t).1)
                 .fold(f64::INFINITY, f64::min);
             record(name, "batched-parallel", t, panel_width, secs, scalar_secs);
+            let got = float_words(&deconvolve_with_threads(&method, &schedule, &data, t).0);
+            check_same_words(name, &format!("batched-parallel t{t}"), &reference, &got);
         }
     }
 
@@ -1423,7 +1425,12 @@ fn bench_deconv(mut args: Args) {
             std::hint::black_box(batched());
         });
         record("fixed-point", "batched", 1, width, secs, scalar_secs);
-        check_same_words(&format!("batched w{width}"), &reference, &batched());
+        check_same_words(
+            "fixed-point",
+            &format!("batched w{width}"),
+            &reference,
+            &batched(),
+        );
     }
     // Threaded rows for the integer path too: the pipeline's block path
     // (the shared slab fan-out), bit-identical to the scalar loop above at
@@ -1445,6 +1452,7 @@ fn bench_deconv(mut args: Args) {
             scalar_secs,
         );
         check_same_words(
+            "fixed-point",
             &format!("batched-parallel t{t}"),
             &reference,
             &fixed_point(&block, None, t),
@@ -1512,6 +1520,7 @@ fn bench_deconv(mut args: Args) {
         });
         record("fixed-point", "sparse-skip", 1, fp_width, secs, scalar_secs);
         check_same_words(
+            "fixed-point",
             "sparse-skip",
             &core.deconvolve_columnwise(&sparse_block, mz_bins),
             &sparse_skip(),
@@ -1564,19 +1573,29 @@ fn bench_deconv(mut args: Args) {
     append_ledger(ledger.as_deref(), &rec);
 }
 
-/// Exits 1 naming the fixed-point `engine` unless its block equals the
-/// scalar column path's `reference` word for word.
-fn check_same_words(engine: &str, reference: &[i64], got: &[i64]) {
+/// Exits 1 naming `method` and `engine` unless the engine's output equals
+/// the method's scalar column path, `reference`, word for word.
+fn check_same_words<W: PartialEq + std::fmt::Debug>(
+    method: &str,
+    engine: &str,
+    reference: &[W],
+    got: &[W],
+) {
     let words = reference.len().max(got.len());
     if let Some(i) = (0..words).find(|&i| reference.get(i) != got.get(i)) {
         eprintln!(
-            "bench deconv: fixed-point {engine} differs from the scalar column path \
+            "bench deconv: {method} {engine} differs from the scalar column path \
              at word {i} ({:?} vs {:?})",
             got.get(i),
             reference.get(i)
         );
         std::process::exit(1);
     }
+}
+
+/// A float map's cells as bit patterns, so a comparison is by `to_bits`.
+fn float_words(map: &DriftTofMap) -> Vec<u64> {
+    map.data().iter().map(|v| v.to_bits()).collect()
 }
 
 /// `htims bench compare <baseline.json> <candidate.json>`: the perf

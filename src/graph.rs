@@ -71,8 +71,9 @@ pub struct GraphSpec {
     /// on the run, or `None` for the clean path. Chaotic runs stay a pure
     /// function of `(spec, seed)` — same spec, same faults, same blocks.
     pub faults: Option<String>,
-    /// Watchdog stall timeout in milliseconds; `None` leaves the watchdog
-    /// off (threaded executor only).
+    /// Watchdog stall timeout in milliseconds, at least 1 (see
+    /// [`check`](Self::check)); `None` leaves the watchdog off (threaded
+    /// executor only).
     pub stall_timeout_ms: Option<u64>,
     /// When set, the accumulate stage attaches a run index to
     /// low-occupancy blocks and FWHT-capable backends skip the empty
@@ -146,9 +147,19 @@ impl GraphSpec {
         }
     }
 
-    /// [`check_shape`] on the spec's degree and m/z bins.
-    pub fn check_shape(&self) -> Result<(), String> {
-        check_shape(self.degree, self.mz, ["--degree", "--mz"])
+    /// The spec check [`build`](Self::build) runs before anything is
+    /// built: [`check_shape`] on the degree and m/z bins, and a stall
+    /// timeout of at least 1 ms (the watchdog counts whole milliseconds,
+    /// so a 0 ms timeout would blame a stall on any two equal progress
+    /// reads).
+    pub fn check(&self) -> Result<(), String> {
+        check_shape(self.degree, self.mz, ["--degree", "--mz"])?;
+        if self.stall_timeout_ms == Some(0) {
+            return Err(
+                "--stall-timeout under 1 ms: the watchdog counts whole milliseconds".into(),
+            );
+        }
+        Ok(())
     }
 
     /// Drift-time bins: the PRS length `2^degree − 1`.
@@ -217,7 +228,7 @@ impl GraphSpec {
     /// the spec asks for one, so [`run`](Self::run) can finish the log
     /// and stamp the manifest after the executor drains.
     fn build_inner(&self) -> Result<(Pipeline, Option<CaptureLog>), String> {
-        self.check_shape()?;
+        self.check()?;
         if !matches!(self.executor.as_str(), "inline" | "threaded") {
             return Err(format!(
                 "unknown executor '{}' (use threaded | inline)",

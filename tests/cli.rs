@@ -295,3 +295,38 @@ fn a_manifest_whose_degree_is_out_of_range_is_refused_not_a_panic() {
     }
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
+
+#[test]
+fn a_manifest_whose_stall_timeout_is_zero_is_refused_before_it_runs() {
+    let dir = scratch("stall-manifest");
+    let capture = htims(
+        &dir,
+        &[
+            "pipeline",
+            "--capture-log",
+            "cap",
+            "--frames",
+            "4",
+            "--stall-timeout",
+            "2s",
+            "--no-ledger",
+        ],
+    );
+    assert!(capture.status.success());
+    let manifest = dir.join("cap/manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    let from = "\"stall_timeout_ms\": 2000";
+    assert!(text.contains(from), "{text}");
+    std::fs::write(&manifest, text.replace(from, "\"stall_timeout_ms\": 0"))
+        .expect("rewrite manifest");
+    let before = (files_in(&dir), files_in(&dir.join("cap")));
+    // No `--no-ledger`: a replay that ran would leave `RUNS.jsonl`.
+    let replay = htims(&dir, &["pipeline", "--replay", "cap"]);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("bad capture manifest"), "{stderr}");
+    assert!(stderr.contains("--stall-timeout"), "{stderr}");
+    assert!(replay.stdout.is_empty(), "printed a report");
+    assert_eq!((files_in(&dir), files_in(&dir.join("cap"))), before);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
