@@ -14,8 +14,15 @@
 //! ## On-disk format
 //!
 //! A log directory holds numbered segment files `seg-NNNNNN.htcl`. Each
-//! segment starts with an 8-byte header — magic `HTCL` plus a
-//! little-endian `u32` [`CAPTURE_SCHEMA_VERSION`] — followed by records:
+//! segment starts with a 16-byte header, followed by records:
+//!
+//! ```text
+//! [u8; 4] magic            "HTCL"
+//! u32  schema_version      (CAPTURE_SCHEMA_VERSION)
+//! u64  previous_bytes      (record bytes of the previous segment; 0 in segment 0)
+//! ```
+//!
+//! and each record is
 //!
 //! ```text
 //! u32  payload_len         (bytes)
@@ -30,10 +37,16 @@
 //! it is wall-clock metadata excluded from the payload checksum, and
 //! replay re-stamps it so end-to-end latency histograms stay meaningful.
 //! Segments rotate at a byte threshold and are fsync'd on rotation and on
-//! [`CaptureLog::finish`]. Reading never writes. One rule covers a corrupt
-//! tail (the torn write of a crashed producer): the log ends at the first
-//! record that fails its FNV, and every later segment is ignored, so every
-//! intact prefix record survives and nothing after the tear is read.
+//! [`CaptureLog::finish`]. The next segment's header is written at
+//! rotation, when the writer knows how many record bytes the finished
+//! segment holds. Reading never writes. One rule covers every kind of
+//! damage: the log ends at the first record that fails its FNV (the torn
+//! write of a crashed producer), or at the first segment whose header does
+//! not repeat the record bytes read from the segment before it (that
+//! segment lost whole records from its end, or the header is damaged), and
+//! every later segment is ignored. So every intact prefix record survives
+//! and nothing after the damage is read. A segment whose magic or schema
+//! version is wrong is an error, not damage.
 
 use ims_fpga::dma::{fnv1a64, FramePacket};
 use std::fs::{File, OpenOptions};
@@ -43,7 +56,7 @@ use std::sync::{Arc, Mutex};
 
 /// Version stamped into every segment header; bumped on any record-format
 /// change so stale logs fail loudly instead of misparsing.
-pub const CAPTURE_SCHEMA_VERSION: u32 = 1;
+pub const CAPTURE_SCHEMA_VERSION: u32 = 2;
 
 /// Segment-file magic, the first four bytes of every segment.
 pub const CAPTURE_MAGIC: &[u8; 4] = b"HTCL";
@@ -51,7 +64,7 @@ pub const CAPTURE_MAGIC: &[u8; 4] = b"HTCL";
 /// Default segment rotation threshold (bytes of records per segment).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 << 20;
 
-const HEADER_LEN: u64 = 8;
+const HEADER_LEN: usize = 16;
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:06}.htcl"))
@@ -101,7 +114,7 @@ impl CaptureLog {
                 std::fs::remove_file(path)?;
             }
         }
-        let writer = open_segment(dir, 0)?;
+        let writer = open_segment(dir, 0, 0)?;
         Ok(Self {
             inner: Arc::new(Mutex::new(Inner {
                 dir: dir.to_path_buf(),
@@ -116,9 +129,10 @@ impl CaptureLog {
     }
 
     /// Opens an existing log read-only and reads it once, up to the first
-    /// record that fails its FNV (see the module docs). A missing log, a
-    /// bad segment header or an unreadable file is an error; a torn tail
-    /// is not. Nothing on disk is modified.
+    /// record that fails its FNV or the first gap (see the module docs). A
+    /// missing log, a segment with a bad magic or schema version or an
+    /// unreadable file is an error; a torn tail or a gap is not. Nothing on
+    /// disk is modified.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         if !segment_path(dir, 0).exists() {
             return Err(std::io::Error::new(
@@ -159,7 +173,7 @@ impl CaptureLog {
             writer.flush()?;
             writer.get_ref().sync_all()?;
             *segment += 1;
-            *writer = open_segment(&dir, *segment)?;
+            *writer = open_segment(&dir, *segment, *written)?;
             *written = 0;
         }
         writer.write_all(&record)?;
@@ -218,7 +232,9 @@ impl CaptureLog {
     }
 }
 
-fn open_segment(dir: &Path, index: u64) -> std::io::Result<BufWriter<File>> {
+/// Opens segment `index` for writing and writes its header, which records
+/// `previous_bytes`, the record bytes of the finished segment before it.
+fn open_segment(dir: &Path, index: u64, previous_bytes: u64) -> std::io::Result<BufWriter<File>> {
     let file = OpenOptions::new()
         .write(true)
         .create(true)
@@ -227,6 +243,7 @@ fn open_segment(dir: &Path, index: u64) -> std::io::Result<BufWriter<File>> {
     let mut writer = BufWriter::new(file);
     writer.write_all(CAPTURE_MAGIC)?;
     writer.write_all(&CAPTURE_SCHEMA_VERSION.to_le_bytes())?;
+    writer.write_all(&previous_bytes.to_le_bytes())?;
     Ok(writer)
 }
 
@@ -283,8 +300,9 @@ fn decode_record(bytes: &[u8], at: usize) -> Option<(FramePacket, usize)> {
     Some((packet, at + off + 8))
 }
 
+/// Checks a segment's magic and schema version, its first 8 bytes.
 fn read_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
-    if bytes.len() < HEADER_LEN as usize || &bytes[0..4] != CAPTURE_MAGIC {
+    if bytes.len() < 8 || &bytes[0..4] != CAPTURE_MAGIC {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("{}: not a capture segment", path.display()),
@@ -305,11 +323,14 @@ fn read_header(bytes: &[u8], path: &Path) -> std::io::Result<()> {
 
 /// The one reader of a log directory: the records of segments 0, 1, …
 /// in order, stopping at the first record that fails its FNV (a torn or
-/// corrupt record, counted in `capture.torn_reads`) and ignoring every
-/// later segment, since they postdate the tear. It only reads.
+/// corrupt record) or at the first segment whose header does not repeat
+/// the record bytes of the segment before it (a gap), and ignoring every
+/// later segment, since they postdate the damage. Each stop is counted in
+/// `capture.torn_reads`. It only reads.
 fn read_log(dir: &Path) -> std::io::Result<Vec<FramePacket>> {
     let mut out = Vec::new();
     let mut index = 0u64;
+    let mut previous_bytes = 0u64;
     loop {
         let path = segment_path(dir, index);
         if !path.exists() {
@@ -318,7 +339,14 @@ fn read_log(dir: &Path) -> std::io::Result<Vec<FramePacket>> {
         let mut bytes = Vec::new();
         File::open(&path)?.read_to_end(&mut bytes)?;
         read_header(&bytes, &path)?;
-        let mut at = HEADER_LEN as usize;
+        let recorded = bytes
+            .get(8..HEADER_LEN)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        if recorded != Some(previous_bytes) {
+            ims_obs::static_counter!("capture.torn_reads").incr();
+            return Ok(out);
+        }
+        let mut at = HEADER_LEN;
         while at < bytes.len() {
             let Some((packet, next)) = decode_record(&bytes, at) else {
                 ims_obs::static_counter!("capture.torn_reads").incr();
@@ -327,6 +355,7 @@ fn read_log(dir: &Path) -> std::io::Result<Vec<FramePacket>> {
             out.push(packet);
             at = next;
         }
+        previous_bytes = (bytes.len() - HEADER_LEN) as u64;
         index += 1;
     }
 }
@@ -471,6 +500,30 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_that_lost_whole_records_ends_the_log() {
+        let dir = temp_dir("gap");
+        // Six 41-byte records, two to a 100-byte segment.
+        let log = CaptureLog::create_with_segment_bytes(&dir, 100).unwrap();
+        for i in 0..6 {
+            log.append(&FramePacket::from_words(i, &[i as u32; 5]))
+                .unwrap();
+        }
+        log.finish().unwrap();
+        assert_eq!(segment_bytes(&dir).len(), 3);
+        // Segment 0 loses its second record, cut on the record boundary.
+        OpenOptions::new()
+            .write(true)
+            .open(segment_path(&dir, 0))
+            .unwrap()
+            .set_len(HEADER_LEN as u64 + 41)
+            .unwrap();
+        let back = CaptureLog::open(&dir).unwrap().read_all().unwrap();
+        let seqs: Vec<u64> = back.iter().map(|p| p.seq_no).collect();
+        assert_eq!(seqs, [0], "the log ends at the gap");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corrupted_record_body_is_detected_by_record_fnv() {
         let dir = temp_dir("flip");
         let log = CaptureLog::create(&dir).unwrap();
@@ -496,11 +549,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(segment_path(&dir, 0), b"NOPE0000").unwrap();
         assert!(CaptureLog::open(&dir).is_err());
-        let mut hdr = CAPTURE_MAGIC.to_vec();
-        hdr.extend_from_slice(&(CAPTURE_SCHEMA_VERSION + 1).to_le_bytes());
-        std::fs::write(segment_path(&dir, 0), &hdr).unwrap();
-        let err = CaptureLog::open(&dir).unwrap_err().to_string();
-        assert!(err.contains("schema"), "{err}");
+        for version in [1, CAPTURE_SCHEMA_VERSION + 1] {
+            let mut hdr = CAPTURE_MAGIC.to_vec();
+            hdr.extend_from_slice(&version.to_le_bytes());
+            hdr.extend_from_slice(&0u64.to_le_bytes());
+            std::fs::write(segment_path(&dir, 0), &hdr).unwrap();
+            let err = CaptureLog::open(&dir).unwrap_err().to_string();
+            assert!(err.contains(&format!("schema v{version}")), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -224,10 +224,7 @@ impl BatchDeconvolver {
             rows,
             Columns::Range(0..mz),
             self.panel_width,
-            |panel, _, width| {
-                self.solve_panel(panel, width, &mut transform, &mut circulant);
-                panel
-            },
+            |panel, width| self.solve_panel(panel, width, &mut transform, &mut circulant),
         );
     }
 

@@ -4,15 +4,19 @@
 //! On the Cray XD1 the software side ran across Opteron cores; here the
 //! stand-in is the work-stealing [`Scheduler`] pool, which drives the E8
 //! scaling study. The unit of parallelism is a *slab*: a contiguous run
-//! of m/z column panels that one task walks with the shared
-//! [`ims_signal::panel::PanelWalker`] straight into its segment of the
-//! result. Slabs are embarrassingly parallel, each task reuses one
+//! of m/z column panels that one task walks straight into its segment of
+//! the result. Slabs are embarrassingly parallel, each task reuses one
 //! scratch arena, and within a panel the kernels run unit-stride across
 //! columns — so scaling stays near linear until memory bandwidth
 //! intervenes. The float engine
 //! ([`crate::deconv_batch::BatchDeconvolver`]) and the integer datapath
 //! ([`deconvolve_fixed_point`]) differ only in the slab walk and the cost
-//! prior they hand to `fan_out`.
+//! prior they hand to `fan_out`. Both cut a slab into the panels of
+//! [`ims_signal::panel::Columns::for_each_panel`]. The float walk solves
+//! each panel in a gathered copy ([`ims_signal::panel::PanelWalker`]);
+//! the integer walk ([`DeconvCore::deconvolve_columns`]) scatters each
+//! panel from the block's rows straight into its FWHT RAM and gathers the
+//! result straight into the slab's segments.
 
 use crate::acquisition::{AcquiredData, GateSchedule};
 use crate::deconv_batch::BatchDeconvolver;
@@ -173,6 +177,18 @@ fn panels_per_task(cost: &PanelCost, panel_cells: usize, executors: usize, panel
         .max(1)
 }
 
+/// The fixed-point column walk as `fan_out` prices it. Its prior is a
+/// panel's mean on the E3 block (511 × 128 panels, inline executor: the
+/// scatter from the block, the butterflies and the gather into a fresh
+/// output block), used before the histogram warms.
+fn fixed_point_cost() -> PanelCost {
+    PanelCost {
+        name: "software-fwht",
+        hist: ims_obs::static_histogram!("deconv.panel_ns.software-fwht"),
+        prior_ns_per_cell: 4.1,
+    }
+}
+
 /// Deconvolves one accumulated drift-major block through the fixed-point
 /// FWHT core: the one block path of the pipeline's `fpga` and `software`
 /// backends and of the fault fallback.
@@ -197,18 +213,11 @@ pub fn deconvolve_fixed_point(
     let mz = data.len() / n;
     let width = FIXED_POINT_PANEL_WIDTH;
     let Some(cols) = occupied else {
-        let cost = PanelCost {
-            name: "software-fwht",
-            hist: ims_obs::static_histogram!("deconv.panel_ns.software-fwht"),
-            // The kernel's mean on the E3 block (511 × 128 panels), used
-            // before the histogram warms.
-            prior_ns_per_cell: 3.4,
-        };
         return fan_out(
             vec![0; data.len()],
             n,
             width,
-            &cost,
+            &fixed_point_cost(),
             workers,
             |cols, rows| core.deconvolve_columns(data, rows, Columns::Range(cols), width),
         );
@@ -324,18 +333,13 @@ mod tests {
             .iter()
             .map(|&v| v.round() as u64)
             .collect();
-        let cost = PanelCost {
-            name: "software-fwht",
-            hist: ims_obs::static_histogram!("deconv.panel_ns.software-fwht"),
-            prior_ns_per_cell: 3.4,
-        };
         for width in [1usize, 7, FIXED_POINT_PANEL_WIDTH, mz] {
             let pool = Scheduler::new(3);
             let got = fan_out(
                 vec![0i64; n * mz],
                 n,
                 width,
-                &cost,
+                &fixed_point_cost(),
                 Workers::Pool(&pool, 4),
                 |cols, rows| core.deconvolve_columns(&words, rows, Columns::Range(cols), width),
             );

@@ -54,7 +54,13 @@ fn record_len(p: &FramePacket) -> usize {
     4 + 8 + 1 + if p.checksum.is_some() { 8 } else { 0 } + p.payload.len() + 8
 }
 
-const HEADER_LEN: usize = 8;
+/// Segment header bytes: magic, schema version, and the previous
+/// segment's record bytes.
+const HEADER_LEN: usize = 16;
+
+/// The header bytes whose damage is an error (magic and schema version);
+/// damage anywhere after them ends the log.
+const MAGIC_AND_VERSION: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -69,6 +75,7 @@ proptest! {
         if behind_header {
             segment.extend_from_slice(CAPTURE_MAGIC);
             segment.extend_from_slice(&CAPTURE_SCHEMA_VERSION.to_le_bytes());
+            segment.extend_from_slice(&0u64.to_le_bytes());
         }
         segment.extend_from_slice(&bytes);
         std::fs::write(segment_path(&dir, 0), &segment).expect("write segment");
@@ -82,8 +89,9 @@ proptest! {
         std::fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
 
-    /// Flips anywhere, and a cut of the last segment (the torn write of a
-    /// crashed producer: earlier segments are fsync'd when they rotate).
+    /// Flips anywhere, and a cut of any segment: of the last, the torn
+    /// write of a crashed producer; of an earlier one, a segment that lost
+    /// records from its end, which leaves a gap before the next segment.
     #[test]
     fn a_damaged_log_reads_back_the_records_before_its_first_damaged_byte(
         packets in proptest::collection::vec(
@@ -92,7 +100,7 @@ proptest! {
         ),
         segment_bytes in 32u64..256,
         flips in proptest::collection::vec((any::<usize>(), any::<usize>(), 1u8..=255), 0..3),
-        cut in (any::<bool>(), any::<usize>()),
+        cut in (any::<bool>(), any::<usize>(), any::<usize>()),
     ) {
         let dir = scratch("damaged");
         let appended: Vec<FramePacket> = packets
@@ -119,9 +127,9 @@ proptest! {
             let at = at % segment.len();
             segment[at] ^= xor;
         }
-        if let (true, keep) = cut {
-            let last = damaged.last_mut().expect("segment 0 exists");
-            last.truncate(keep % (last.len() + 1));
+        if let (true, segment, keep) = cut {
+            let segment = &mut damaged[segment % original.len()];
+            segment.truncate(keep % (segment.len() + 1));
         }
         for (i, bytes) in damaged.iter().enumerate() {
             std::fs::write(segment_path(&dir, i), bytes).expect("write segment");
@@ -149,7 +157,7 @@ proptest! {
 
         let read = CaptureLog::open(&dir).and_then(|log| log.read_all());
         match first {
-            Some((_, off)) if off < HEADER_LEN => prop_assert!(read.is_err()),
+            Some((_, off)) if off < MAGIC_AND_VERSION => prop_assert!(read.is_err()),
             _ => {
                 let read = read.expect("a damaged record ends the log; it is no error");
                 prop_assert_eq!(read.len(), intact);

@@ -11,7 +11,7 @@
 
 use crate::bram::{BramBudget, MemoryRequirement};
 use ims_prs::{FastMTransform, MSequence};
-use ims_signal::panel::{rows_mut, Columns, PanelWalker};
+use ims_signal::panel::{rows_mut, Columns, Run};
 use ims_signal::FIXED_POINT_PANEL_WIDTH;
 use serde::{Deserialize, Serialize};
 
@@ -141,11 +141,9 @@ impl DeconvCore {
     /// `panel` holds `N × width` accumulated counts in row-major order
     /// (`panel[d * width + c]`); the result lands in `out` with the same
     /// shape. `work` is the reusable FWHT working RAM (grows to
-    /// `(N+1) × width` and is then reused allocation-free). The datapath is
-    /// the exact integer pipeline of
-    /// [`DeconvCore::deconvolve_column`] run as contiguous row sweeps, so
-    /// each column's output is identical to the scalar call — integer
-    /// arithmetic leaves no room for reassociation drift.
+    /// `(N+1) × width` and is then reused allocation-free). This is the
+    /// one-run case of the panel datapath of
+    /// [`DeconvCore::deconvolve_columns`].
     ///
     /// # Panics
     /// Panics if `width` is zero or the panel/out shapes mismatch.
@@ -160,18 +158,65 @@ impl DeconvCore {
         assert!(width > 0, "panel width must be positive");
         assert_eq!(panel.len(), n * width, "panel shape mismatch");
         assert_eq!(out.len(), n * width, "output shape mismatch");
+        let whole = Run {
+            src: 0,
+            dst: 0,
+            len: width,
+        };
+        self.solve_panel(panel, &mut rows_mut(out, width), &[whole], width, work);
+    }
+
+    /// The panel datapath: the exact integer pipeline of
+    /// [`DeconvCore::deconvolve_column`] run as contiguous row sweeps over
+    /// the `width` columns of `runs`, so each column's output is identical
+    /// to the scalar call — integer arithmetic leaves no room for
+    /// reassociation drift.
+    ///
+    /// The scatter ROM loop reads each drift row's runs straight from the
+    /// drift-major block `src` into FWHT RAM row `states[k]` of `work`
+    /// (grown to `(N+1) × width`), and the gather ROM and scaler loop
+    /// writes each solved row straight into the runs of its destination
+    /// row in `dst`: each cell moves once in and once out.
+    ///
+    /// # Panics
+    /// Panics if `src` is not `N` rows, `dst` is not `N` rows, or a run
+    /// falls outside either.
+    fn solve_panel(
+        &self,
+        src: &[u64],
+        dst: &mut [&mut [i64]],
+        runs: &[Run],
+        width: usize,
+        work: &mut Vec<i64>,
+    ) {
+        let n = self.len();
+        assert_eq!(src.len() % n, 0, "source shape mismatch");
+        assert_eq!(dst.len(), n, "destination shape mismatch");
+        let stride = src.len() / n;
         let m = n + 1;
         work.resize(m * width, 0);
         // Scatter: the address ROM is a permutation of 1..=N, so only RAM
-        // row 0 needs explicit zeroing.
+        // row 0 needs explicit zeroing. Here and in the gather, a lone
+        // column (a sparse block's scattered occupied columns) moves
+        // without a loop's set-up.
         work[..width].fill(0);
-        for (k, &addr) in self.transform.scatter_addresses().iter().enumerate() {
-            let a = addr as usize;
-            for (w, &y) in work[a * width..(a + 1) * width]
-                .iter_mut()
-                .zip(panel[k * width..(k + 1) * width].iter())
-            {
-                *w = y as i64;
+        for (row, &addr) in src
+            .chunks_exact(stride)
+            .zip(self.transform.scatter_addresses())
+        {
+            let ram = &mut work[addr as usize * width..][..width];
+            let mut at = 0;
+            for run in runs {
+                match run.len {
+                    1 => ram[at] = row[run.src] as i64,
+                    len => {
+                        let cells = &row[run.src..run.src + len];
+                        for (w, &y) in ram[at..at + len].iter_mut().zip(cells) {
+                            *w = y as i64;
+                        }
+                    }
+                }
+                at += run.len;
             }
         }
         // Integer FWHT, row-pair sweeps on the selected SIMD backend
@@ -189,10 +234,18 @@ impl DeconvCore {
             }
             h *= 2;
         }
-        // Gather + scale, row by row.
-        for (row, &src) in out.chunks_exact_mut(width).zip(self.gather_table()) {
-            let src = src as usize * width;
-            scale_row(self.scale_shift, &work[src..src + width], row);
+        // Gather + scale, row by row, into the destination runs.
+        for (row, &addr) in dst.iter_mut().zip(self.gather_table()) {
+            let ram = &work[addr as usize * width..][..width];
+            let mut at = 0;
+            for run in runs {
+                let cells = &mut row[run.dst..run.dst + run.len];
+                match run.len {
+                    1 => cells[0] = scale_word(self.scale_shift, ram[at]),
+                    len => scale_row(self.scale_shift, &ram[at..at + len], cells),
+                }
+                at += run.len;
+            }
         }
     }
 
@@ -204,30 +257,34 @@ impl DeconvCore {
     pub fn deconvolve_columnwise(&self, data: &[u64], mz_bins: usize) -> Vec<i64> {
         assert_eq!(data.len(), self.len() * mz_bins, "block shape mismatch");
         let mut out = vec![0i64; data.len()];
-        PanelWalker::default().walk(
-            data,
-            &mut rows_mut(&mut out, mz_bins),
-            Columns::Range(0..mz_bins),
-            1,
-            |column, solved, _| {
-                *solved = self.deconvolve_column(column);
-                solved
-            },
-        );
+        for c in 0..mz_bins {
+            let column: Vec<u64> = data[c..].iter().step_by(mz_bins).copied().collect();
+            let solved = self.deconvolve_column(&column);
+            for (cell, v) in out[c..].iter_mut().step_by(mz_bins).zip(solved) {
+                *cell = v;
+            }
+        }
         out
     }
 
     /// The fixed-point column walk every panel-batched path runs:
     /// deconvolves the columns `cols` of the drift-major block `data` into
     /// `rows` (a whole block's rows, or the same column range of each; see
-    /// [`PanelWalker::walk`]) in panels of `width` columns through
-    /// [`DeconvCore::deconvolve_panel_into`].
+    /// [`Columns`]) in the panels of [`Columns::for_each_panel`] at
+    /// `width`. Each panel is scattered through the address ROM straight
+    /// from `data` into the FWHT RAM and gathered through the mask ROM
+    /// straight into `rows`; no other copy of the block is made.
     ///
     /// Each panel is one `software-fwht` trace span and one sample of the
     /// `deconv.panel_ns.software-fwht` histogram: the CPU cost of the
-    /// kernel, whichever backend the block is priced as. Cycles are not
-    /// counted here: whoever prices a block passes the columns it solved
-    /// to [`DeconvCore::cycles_per_block`].
+    /// panel, copy-in, butterflies and copy-out, whichever backend the
+    /// block is priced as. Cycles are not counted here: whoever prices a
+    /// block passes the columns it solved to
+    /// [`DeconvCore::cycles_per_block`].
+    ///
+    /// # Panics
+    /// Panics if `width` is zero, if `data` or `rows` is not `N` rows, or
+    /// if a walked column falls outside either block.
     pub fn deconvolve_columns(
         &self,
         data: &[u64],
@@ -237,13 +294,11 @@ impl DeconvCore {
     ) {
         let hist = ims_obs::static_histogram!("deconv.panel_ns.software-fwht");
         let mut work = Vec::new();
-        PanelWalker::default().walk(data, rows, cols, width, |panel, solved, w| {
+        cols.for_each_panel(width, |runs, w| {
             let _span = ims_obs::span_cat("software-fwht", "panel");
             let start = std::time::Instant::now();
-            solved.resize(panel.len(), 0);
-            self.deconvolve_panel_into(panel, w, solved, &mut work);
+            self.solve_panel(data, rows, runs, w, &mut work);
             hist.record_duration(start.elapsed());
-            solved
         });
     }
 
@@ -341,14 +396,21 @@ fn scale_row(shift: i32, c: &[i64], out: &mut [i64]) {
             *o = c.wrapping_neg() << s;
         }
     } else {
-        let r = shift.unsigned_abs();
-        let half = 1i128 << (r - 1);
         for (o, &c) in out.iter_mut().zip(c) {
-            let v = -i128::from(c);
-            let mag = (v.abs() + half) >> r;
-            *o = (if v < 0 { -mag } else { mag }) as i64;
+            *o = scale_word(shift, c);
         }
     }
+}
+
+/// [`scale_row`] for one word.
+fn scale_word(shift: i32, c: i64) -> i64 {
+    if let Ok(s) = u32::try_from(shift) {
+        return c.wrapping_neg() << s;
+    }
+    let r = shift.unsigned_abs();
+    let v = -i128::from(c);
+    let mag = (v.abs() + (1i128 << (r - 1))) >> r;
+    (if v < 0 { -mag } else { mag }) as i64
 }
 
 #[cfg(test)]

@@ -1301,7 +1301,16 @@ fn bench_deconv(mut args: Args) {
     let n = (1usize << degree) - 1;
     let mz_bins = if quick { 200 } else { 1000 };
     let frames: u64 = if quick { 5 } else { 20 };
-    let repeats = if quick { 2 } else { 3 };
+    // A full row takes at least 10 runs and 0.25 s, so a fast kernel's
+    // minimum comes from ~100 runs; --quick keeps CI's smoke short.
+    let budget = if quick {
+        Budget { runs: 2, secs: 0.0 }
+    } else {
+        Budget {
+            runs: 10,
+            secs: 0.25,
+        }
+    };
 
     let mut inst = Instrument::with_drift_bins(n);
     inst.tof.n_bins = mz_bins;
@@ -1363,14 +1372,14 @@ fn bench_deconv(mut args: Args) {
         };
         let solver = method.column_solver(&schedule, &data);
         let scalar = || apply_columnwise(&data.accumulated, |col| solver(col));
-        let scalar_secs = best_secs(repeats, || {
+        let scalar_secs = best_secs(budget, || {
             std::hint::black_box(scalar());
         });
         record(name, "scalar-column", 1, 1, scalar_secs, scalar_secs);
         let reference = float_words(&scalar());
         for &width in widths {
             let engine = BatchDeconvolver::new(&method, &schedule, &data).with_panel_width(width);
-            let secs = best_secs(repeats, || {
+            let secs = best_secs(budget, || {
                 std::hint::black_box(engine.deconvolve_map(&data.accumulated));
             });
             record(name, "batched", 1, width, secs, scalar_secs);
@@ -1379,9 +1388,9 @@ fn bench_deconv(mut args: Args) {
         }
         let panel_width = BatchDeconvolver::new(&method, &schedule, &data).panel_width();
         for &t in &threads {
-            let secs = (0..repeats)
-                .map(|_| deconvolve_with_threads(&method, &schedule, &data, t).1)
-                .fold(f64::INFINITY, f64::min);
+            let secs = best_of(budget, || {
+                deconvolve_with_threads(&method, &schedule, &data, t).1
+            });
             record(name, "batched-parallel", t, panel_width, secs, scalar_secs);
             let got = float_words(&deconvolve_with_threads(&method, &schedule, &data, t).0);
             check_same_words(name, &format!("batched-parallel t{t}"), &reference, &got);
@@ -1398,7 +1407,7 @@ fn bench_deconv(mut args: Args) {
         .iter()
         .map(|&v| v.round() as u64)
         .collect();
-    let scalar_secs = best_secs(repeats, || {
+    let scalar_secs = best_secs(budget, || {
         std::hint::black_box(core.deconvolve_columnwise(&block, mz_bins));
     });
     record(
@@ -1421,7 +1430,7 @@ fn bench_deconv(mut args: Args) {
             );
             out
         };
-        let secs = best_secs(repeats, || {
+        let secs = best_secs(budget, || {
             std::hint::black_box(batched());
         });
         record("fixed-point", "batched", 1, width, secs, scalar_secs);
@@ -1440,7 +1449,7 @@ fn bench_deconv(mut args: Args) {
         deconvolve_fixed_point(&core, block, occupied, Workers::Threads(t))
     };
     for &t in &threads {
-        let secs = best_secs(repeats, || {
+        let secs = best_secs(budget, || {
             std::hint::black_box(fixed_point(&block, None, t));
         });
         record(
@@ -1501,7 +1510,7 @@ fn bench_deconv(mut args: Args) {
             .iter()
             .map(|&v| v.round() as u64)
             .collect();
-        let scalar_secs = best_secs(repeats, || {
+        let scalar_secs = best_secs(budget, || {
             std::hint::black_box(core.deconvolve_columnwise(&sparse_block, mz_bins));
         });
         record(
@@ -1515,7 +1524,7 @@ fn bench_deconv(mut args: Args) {
         let index = htims::fpga::SparseBlock::index_below(&sparse_block, n, mz_bins, f64::INFINITY)
             .expect("no limit");
         let sparse_skip = || fixed_point(&sparse_block, Some(index.occupied_columns()), 1);
-        let secs = best_secs(repeats, || {
+        let secs = best_secs(budget, || {
             std::hint::black_box(sparse_skip());
         });
         record("fixed-point", "sparse-skip", 1, fp_width, secs, scalar_secs);
@@ -1778,15 +1787,34 @@ fn load_bench_rows(path: &str) -> BenchReport {
     }
 }
 
-/// Best-of-`repeats` wall time of `f`, in seconds.
-fn best_secs(repeats: usize, mut f: impl FnMut()) -> f64 {
+/// How long one bench row is timed: at least `runs` runs and at least
+/// `secs` seconds of them. Each row reports its fastest run.
+#[derive(Clone, Copy)]
+struct Budget {
+    runs: usize,
+    secs: f64,
+}
+
+/// The fastest of the runs of `run` the budget takes, in seconds; `run`
+/// returns the seconds it timed.
+fn best_of(budget: Budget, mut run: impl FnMut() -> f64) -> f64 {
+    let started = std::time::Instant::now();
     let mut best = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        let t = std::time::Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
+    let mut runs = 0;
+    while runs < budget.runs.max(1) || started.elapsed().as_secs_f64() < budget.secs {
+        best = best.min(run());
+        runs += 1;
     }
     best
+}
+
+/// The fastest wall time of `f` over the budget's runs, in seconds.
+fn best_secs(budget: Budget, mut f: impl FnMut()) -> f64 {
+    best_of(budget, || {
+        let t = std::time::Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    })
 }
 
 /// Thread counts for the parallel rows: powers of two up to the machine

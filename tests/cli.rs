@@ -297,6 +297,38 @@ fn a_manifest_whose_degree_is_out_of_range_is_refused_not_a_panic() {
 }
 
 #[test]
+fn a_capture_log_of_an_older_schema_is_refused_with_its_version() {
+    let dir = scratch("v1-manifest");
+    let capture = htims(
+        &dir,
+        &[
+            "pipeline",
+            "--capture-log",
+            "cap",
+            "--frames",
+            "4",
+            "--no-ledger",
+        ],
+    );
+    assert!(capture.status.success());
+    let manifest = dir.join("cap/manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    let current = format!(
+        "\"schema_version\": {}",
+        htims::core::capture::CAPTURE_SCHEMA_VERSION
+    );
+    assert!(text.contains(&current), "{text}");
+    std::fs::write(&manifest, text.replace(&current, "\"schema_version\": 1"))
+        .expect("rewrite manifest");
+    let replay = htims(&dir, &["pipeline", "--replay", "cap", "--no-ledger"]);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("schema v1"), "{stderr}");
+    assert!(replay.stdout.is_empty(), "printed a report");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
 fn a_manifest_whose_stall_timeout_is_zero_is_refused_before_it_runs() {
     let dir = scratch("stall-manifest");
     let capture = htims(
